@@ -1,204 +1,118 @@
-"""Numeric hot paths with a numba lane and a pure-numpy fallback lane.
+"""The numeric hot path: iso-utility projection and candidate selection.
 
-The jitted lane is used whenever numba imports cleanly; setting the
-environment variable ``NEGOTEAM_NO_NUMBA=1`` before import forces the numpy
-lane (useful on platforms where the JIT misbehaves, and for benchmarking).
-Both lanes implement the same contracts and agree to within floating-point
-round-off; results are bit-reproducible within a lane.
+One kernel call serves J agents at once. Their candidate clouds are stacked
+row-wise, m rows per agent, and every agent brings its own gradient, offset,
+target and tolerance. Per agent the arithmetic is exactly that of projecting
+its own cloud alone: the same fixed steps, the same stop rule, the same BLAS
+matrix-vector products on its own rows and the same selection. So a stacked
+call returns bit-identical results to J single-agent calls.
 """
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
 
-logger = logging.getLogger(__name__)
 
-try:  # pragma: no cover - exercised implicitly by lane selection
-    from numba import njit
+def project_iso(cands, grads, offsets, targets, tols, max_iter):
+    """Project each agent's candidates onto its iso-utility hyperplane, clipped to the box.
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
+    ``cands`` is (J·m, n), agent j owning rows j·m .. (j+1)·m - 1; ``grads`` is
+    (J, n); ``offsets``, ``targets`` and ``tols`` are length J. Agent j's
+    utility is offsets[j] + grads[j] . x. Every candidate is stepped along its
+    agent's gradient onto the plane utility == target, clipped to [0, 1]^n,
+    and re-projected. An agent stops when none of its candidates is off target
+    or none of its utilities moved in the last step; the others go on until
+    ``max_iter`` steps are spent.
 
-_FORCE_NUMPY = os.environ.get("NEGOTEAM_NO_NUMBA", "").strip() not in ("", "0")
-USE_NUMBA = HAS_NUMBA and not _FORCE_NUMPY
-
-
-def _project_iso_np(cands, grad, offset, target, tol, max_iter):
-    """Project candidate points onto the iso-utility hyperplane, clipped to the box.
-
-    utility(x) = offset + grad . x. Each candidate is stepped along ``grad``
-    onto the plane utility == target, clipped to [0, 1]^n, and re-projected
-    until on target or the iteration budget runs out.
-
-    Returns (points, utilities, valid) where ``valid`` flags candidates whose
-    final utility is within ``tol`` of ``target``.
+    Returns (points (J, m, n), utilities (J, m), valid (J, m)), where ``valid``
+    flags candidates within the tolerance of their agent's target.
     """
-    out = cands.copy()
-    gg = float(grad @ grad)
+    n_agents, n_issues = grads.shape
+    out = cands.reshape(n_agents, -1, n_issues).copy()
+    # the same memory as one row per agent, and each agent's gradient repeated
+    # once per candidate, so the step needs no broadcast over the short issue axis
+    flat = out.reshape(n_agents, -1)
+    grad_rows = np.repeat(grads[:, None, :], out.shape[1], axis=1).reshape(n_agents, -1)
+    # (1, n) @ (n, 1) per agent: the same BLAS dot as ``grad @ grad``
+    gg = (grads[:, None, :] @ grads[:, :, None])[:, 0]
+    offsets = np.asarray(offsets, dtype=np.float64)[:, None]
+    targets = np.asarray(targets, dtype=np.float64)[:, None]
+    tols = np.asarray(tols, dtype=np.float64)[:, None]
+    # an (n, 1) column per agent makes matmul take BLAS's matrix-vector path
+    # on each agent's rows, the same call as ``block @ grad``
+    columns = grads[:, :, None]
+    products = np.empty((n_agents, out.shape[1], 1))
+    products_2d = products[:, :, 0]
     utils_prev = None
     for _ in range(max_iter):
-        utils = offset + out @ grad
-        miss = target - utils
-        active = np.abs(miss) > tol
-        # also stop when every active candidate is stuck on a box face
-        if not active.any() or (utils_prev is not None and np.array_equal(utils, utils_prev)):
+        np.matmul(out, columns, out=products)
+        utils = offsets + products_2d
+        miss = targets - utils
+        active = np.abs(miss) > tols
+        # an agent goes on while some candidate is off target and some utility
+        # moved (else it is stuck on a box face, where the step is a fixed
+        # point); a stopped agent's rows get a zero step, which leaves them as
+        # they are, so it stays stopped
+        running = active.any(axis=1)
+        if utils_prev is not None:
+            running &= (utils != utils_prev).any(axis=1)
+        n_running = np.count_nonzero(running)
+        if n_running == 0:
             break
+        if n_running < n_agents:
+            active &= running[:, None]
         utils_prev = utils
-        out += np.outer(np.where(active, miss, 0.0) / gg, grad)
-        np.clip(out, 0.0, 1.0, out=out)
-    utils = offset + out @ grad
-    valid = np.abs(utils - target) <= tol
+        step = np.where(active, miss, 0.0) / gg
+        # the same products as np.outer(step, grad), laid out as ``flat``
+        flat += np.repeat(step, n_issues, axis=1) * grad_rows
+        # np.clip's value, without its per-call overhead
+        np.maximum(flat, 0.0, out=flat)
+        np.minimum(flat, 1.0, out=flat)
+    np.matmul(out, columns, out=products)
+    utils = offsets + products_2d
+    valid = np.abs(utils - targets) <= tols
     return out, utils, valid
 
 
-def _ref_distance_sums_np(points, refs):
+def ref_distance_sums(points, refs):
     """Sum of Euclidean distances from each point to every reference offer."""
     diff = points[:, None, :] - refs[None, :, :]
     return np.sqrt(np.einsum("prk,prk->pr", diff, diff)).sum(axis=1)
 
 
-def _choose_iso_np(cands, grad, offset, target, tol, max_iter, refs):
-    """Project candidates onto the target iso-surface and pick the winner.
+def choose_iso(cands, grads, offsets, targets, tols, max_iter, refs):
+    """Project every agent's candidates and pick each agent's winner.
 
-    With references: the valid candidate with the smallest summed distance
-    to them. Without (``refs`` has zero rows): the valid candidate with the
-    highest utility. Ties go to the lowest candidate index.
+    Arguments as for :func:`project_iso`, plus ``refs`` (r, n), shared by all
+    agents. With references an agent's winner is its valid candidate with the
+    smallest summed distance to them; without (``refs`` has zero rows) its
+    valid candidate with the highest utility. Ties go to the lowest index.
 
-    Returns (point, utility, found); ``found`` is False when no candidate
-    lands within ``tol`` of the target.
+    Returns (points (J, n), utilities (J,), found (J,)); an agent none of
+    whose candidates lands within its tolerance gets found False, a zero
+    point and utility 0.
     """
-    points, utils, valid = _project_iso_np(cands, grad, offset, target, tol, max_iter)
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        return np.zeros(cands.shape[1]), 0.0, False
+    points, utils, valid = project_iso(cands, grads, offsets, targets, tols, max_iter)
     if refs.shape[0] == 0:
-        best = idx[np.argmax(utils[idx])]
+        keys = np.where(valid, -utils, np.inf)
     else:
-        best = idx[np.argmin(_ref_distance_sums_np(points[idx], refs))]
-    return points[best].copy(), float(utils[best]), True
-
-
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _project_iso_nb(cands, grad, offset, target, tol, max_iter):  # pragma: no cover - jitted
-        m, n = cands.shape
-        gg = 0.0
-        for k in range(n):
-            gg += grad[k] * grad[k]
-        out = cands.copy()
-        utils = np.empty(m)
-        valid = np.empty(m, np.bool_)
-        for i in range(m):
-            u_prev = np.inf
-            for _ in range(max_iter):
-                u = offset
-                for k in range(n):
-                    u += grad[k] * out[i, k]
-                # stuck on a box face: the step is a fixed point, stop early
-                if abs(target - u) <= tol or u == u_prev:
-                    break
-                u_prev = u
-                lam = (target - u) / gg
-                for k in range(n):
-                    v = out[i, k] + lam * grad[k]
-                    out[i, k] = 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-            u = offset
-            for k in range(n):
-                u += grad[k] * out[i, k]
-            utils[i] = u
-            valid[i] = abs(u - target) <= tol
-        return out, utils, valid
-
-    @njit(cache=True)
-    def _ref_distance_sums_nb(points, refs):  # pragma: no cover - jitted
-        m, n = points.shape
-        r = refs.shape[0]
-        sums = np.zeros(m)
-        for i in range(m):
-            for j in range(r):
-                acc = 0.0
-                for k in range(n):
-                    d = points[i, k] - refs[j, k]
-                    acc += d * d
-                sums[i] += np.sqrt(acc)
-        return sums
-
-    @njit(cache=True, fastmath=True)
-    def _choose_iso_nb(cands, grad, offset, target, tol, max_iter, refs):  # pragma: no cover - jitted
-        m, n = cands.shape
-        r = refs.shape[0]
-        gg = 0.0
-        for k in range(n):
-            gg += grad[k] * grad[k]
-        buf = np.empty(n)
-        point = np.zeros(n)
-        best_key = np.inf
-        best_u = 0.0
-        found = False
-        for i in range(m):
-            for k in range(n):
-                buf[k] = cands[i, k]
-            u_prev = np.inf
-            u = offset
-            for k in range(n):
-                u += grad[k] * buf[k]
-            for _ in range(max_iter):
-                if abs(target - u) <= tol or u == u_prev:
-                    break
-                u_prev = u
-                lam = (target - u) / gg
-                for k in range(n):
-                    v = buf[k] + lam * grad[k]
-                    buf[k] = 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-                u = offset
-                for k in range(n):
-                    u += grad[k] * buf[k]
-            if abs(u - target) > tol:
-                continue
-            if r == 0:
-                key = -u
-            else:
-                key = 0.0
-                for j in range(r):
-                    acc = 0.0
-                    for k in range(n):
-                        d = buf[k] - refs[j, k]
-                        acc += d * d
-                    key += np.sqrt(acc)
-            # strict comparison keeps the lowest index on ties
-            if key < best_key:
-                best_key = key
-                best_u = u
-                found = True
-                for k in range(n):
-                    point[k] = buf[k]
-        return point, best_u, found
-
-
-if USE_NUMBA:
-    project_iso = _project_iso_nb
-    ref_distance_sums = _ref_distance_sums_nb
-    choose_iso = _choose_iso_nb
-    ACTIVE_LANE = "numba"
-else:
-    project_iso = _project_iso_np
-    ref_distance_sums = _ref_distance_sums_np
-    choose_iso = _choose_iso_np
-    ACTIVE_LANE = "numpy"
-
-logger.debug("kernel lane: %s", ACTIVE_LANE)
+        # distances of the valid candidates only, as most of the cost is here
+        idx = np.flatnonzero(valid)
+        keys = np.full(utils.shape, np.inf)
+        keys.reshape(-1)[idx] = ref_distance_sums(points.reshape(-1, points.shape[2]).take(idx, axis=0), refs)
+    # argmin takes the first of equal keys: the lowest index
+    best = keys.argmin(axis=1)
+    agents = np.arange(grads.shape[0])
+    found = valid[agents, best]
+    point = points[agents, best]
+    utility = utils[agents, best]
+    if np.count_nonzero(found) < found.size:
+        point[~found] = 0.0
+        utility[~found] = 0.0
+    return point, utility, found
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation (a no-op on the numpy lane)."""
+    """One tiny kernel call, so that first-call costs fall outside timed work."""
     cands = np.array([[0.2, 0.8, 0.5, 0.1]])
-    grad = np.array([0.4, -0.3, 0.2, -0.1])
-    project_iso(cands, grad, 0.4, 0.5, 1e-6, 10)
-    ref_distance_sums(cands, cands)
-    choose_iso(cands, grad, 0.4, 0.5, 1e-6, 10, cands)
+    grad = np.array([[0.4, -0.3, 0.2, -0.1]])
+    choose_iso(cands, grad, [0.4], [0.5], [1e-6], 10, cands)

@@ -10,6 +10,7 @@ seen, and all thresholds are constructor parameters.
 """
 from __future__ import annotations
 
+import inspect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -342,6 +343,8 @@ class HagglerAdaptive(_BilateralAgent):
         name: str = "opponent",
     ) -> None:
         super().__init__(profile, rng, sampler, name)
+        if not all(math.isfinite(v) for v in (base, slope, sigma_mult)):
+            raise ValueError("base, slope and sigma_mult must be finite")
         self.base = base
         self.slope = slope
         self.sigma_mult = sigma_mult
@@ -358,48 +361,21 @@ class HagglerAdaptive(_BilateralAgent):
         return self._propose(min(max(target, 0.0), 1.0), refs)
 
 
-def _build_time_tactic(profile, rng, params, sampler, name):
-    tactic = TimeTactic(
-        beta=float(params.get("beta", 1.0)),
-        reservation_utility=float(params.get("reservation_utility", 0.0)),
-    )
+def _build_time_tactic(
+    profile, rng, sampler=DEFAULT_SAMPLER, name="opponent", beta=1.0, reservation_utility=0.0
+):
+    tactic = TimeTactic(beta=beta, reservation_utility=reservation_utility)
     return TimeTacticNegotiator(profile, tactic, rng, sampler, name)
 
 
+# each archetype's constructor; its keyword parameters are the archetype's params
 ARCHETYPES = {
     "time_tactic": _build_time_tactic,
-    "crazy_haggler": lambda profile, rng, params, sampler, name: CrazyHaggler(
-        profile, rng, threshold=float(params.get("threshold", 0.9)), sampler=sampler, name=name
-    ),
-    "agent_k_like": lambda profile, rng, params, sampler, name: AgentKLike(
-        profile, rng, gamma=float(params.get("gamma", 3.0)), sampler=sampler, name=name
-    ),
-    "smith_like": lambda profile, rng, params, sampler, name: SmithLike(
-        profile,
-        rng,
-        final_phase=float(params.get("final_phase", 2.0 / 3.0)),
-        floor=float(params.get("floor", 0.5)),
-        sampler=sampler,
-        name=name,
-    ),
-    "nice_tft_like": lambda profile, rng, params, sampler, name: NiceTitForTat(
-        profile,
-        rng,
-        nash_floor=float(params.get("nash_floor", 0.5)),
-        endgame=float(params.get("endgame", 0.95)),
-        reciprocity_gain=float(params.get("reciprocity_gain", 3.0)),
-        sampler=sampler,
-        name=name,
-    ),
-    "haggler_adaptive": lambda profile, rng, params, sampler, name: HagglerAdaptive(
-        profile,
-        rng,
-        base=float(params.get("base", 0.85)),
-        slope=float(params.get("slope", 0.25)),
-        sigma_mult=float(params.get("sigma_mult", 2.0)),
-        sampler=sampler,
-        name=name,
-    ),
+    "crazy_haggler": CrazyHaggler,
+    "agent_k_like": AgentKLike,
+    "smith_like": SmithLike,
+    "nice_tft_like": NiceTitForTat,
+    "haggler_adaptive": HagglerAdaptive,
 }
 
 
@@ -411,10 +387,26 @@ def build_opponent(
     sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
     name: str = "opponent",
 ) -> Party:
-    """Instantiate an archetype by name with its parameter map."""
+    """Instantiate an archetype by name with its parameter map.
+
+    Raises ValueError for an unknown archetype, a parameter the archetype
+    does not take, or a value its constructor rejects.
+    """
     try:
         factory = ARCHETYPES[archetype]
     except KeyError:
         known = ", ".join(sorted(ARCHETYPES))
         raise ValueError(f"unknown archetype {archetype!r}; known: {known}") from None
-    return factory(profile, rng, dict(params or {}), sampler, name)
+    shared = ("profile", "rng", "sampler", "name")
+    accepted = [p for p in inspect.signature(factory).parameters if p not in shared]
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"archetype {archetype!r} takes no parameter {unknown[0]!r}; it takes: {', '.join(accepted)}"
+        )
+    try:
+        values = {key: float(value) for key, value in params.items()}
+    except (TypeError, ValueError):
+        raise ValueError(f"archetype {archetype!r} parameters must be numbers, got {params!r}") from None
+    return factory(profile, rng, sampler=sampler, name=name, **values)

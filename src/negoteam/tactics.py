@@ -107,26 +107,61 @@ def sample_iso_offer(
     utility margin instead. target_u == 1 pins the ideal offer (the iso
     surface degenerates to a single point there).
     """
-    if not 0.0 <= target_u <= 1.0:
-        raise ValueError("target utility must lie in [0, 1]")
-    if target_u >= 1.0:
-        return ideal_offer(profile)
-    cands = rng.random((config.candidate_count, profile.n_issues))
+    return sample_iso_offers([profile], [target_u], references, [rng], [config])[0]
+
+
+def sample_iso_offers(
+    profiles: Sequence[PreferenceProfile],
+    targets: Sequence[float],
+    references: Sequence[np.ndarray] | None,
+    rngs: Sequence[np.random.Generator],
+    configs: Sequence[IsoSamplerConfig],
+) -> list[np.ndarray]:
+    """One :func:`sample_iso_offer` per agent, all in a single kernel call.
+
+    Agent i draws its candidates from ``rngs[i]``, in agent order, and gets
+    exactly the offer ``sample_iso_offer(profiles[i], targets[i], references,
+    rngs[i], configs[i])`` would return. An agent whose target is 1 draws
+    nothing and gets its ideal offer. The agents that draw must share a
+    candidate count, since the kernel stacks their clouds.
+    """
+    offers: list = [None] * len(targets)
+    drawing = []
+    for i, target_u in enumerate(targets):
+        if not 0.0 <= target_u <= 1.0:
+            raise ValueError("target utility must lie in [0, 1]")
+        if target_u >= 1.0:
+            offers[i] = ideal_offer(profiles[i])
+        else:
+            drawing.append(i)
+    if not drawing:
+        return offers
+    if len({configs[i].candidate_count for i in drawing}) > 1:
+        raise ValueError("agents sampled together must share a candidate count")
+    cands = np.concatenate(
+        [rngs[i].random((configs[i].candidate_count, profiles[i].n_issues)) for i in drawing]
+    )
     if references:
         refs = np.ascontiguousarray(np.vstack([np.asarray(r, dtype=np.float64) for r in references]))
     else:
-        refs = np.empty((0, profile.n_issues))
-    point, _, found = _kernels.choose_iso(
+        refs = np.empty((0, cands.shape[1]))
+    # one row per drawing agent: offset, target, tolerance
+    scalars = np.array([(profiles[i].offset, targets[i], configs[i].utility_tolerance) for i in drawing])
+    points, _, found = _kernels.choose_iso(
         cands,
-        profile.gradient,
-        profile.offset,
-        target_u,
-        config.utility_tolerance,
+        np.array([profiles[i].gradient for i in drawing]),
+        scalars[:, 0],
+        scalars[:, 1],
+        scalars[:, 2],
         PROJECTION_ITERATIONS,
         refs,
     )
-    if not found:
-        # target effectively unreachable from the sampled cloud; concede nothing
-        logger.debug("no on-target candidate at u=%.6f for %s", target_u, profile.name)
-        return ideal_offer(profile)
-    return point
+    for point, ok, i in zip(points, found, drawing):
+        if ok:
+            # a copy, so that an offer kept in a transcript holds no other agent's
+            offers[i] = point.copy()
+        else:
+            # target effectively unreachable from the sampled cloud; concede nothing
+            logger.debug("no on-target candidate at u=%.6f for %s", targets[i], profiles[i].name)
+            offers[i] = ideal_offer(profiles[i])
+    return offers

@@ -17,6 +17,7 @@ against brute-force oracles; every tie breaks toward the lowest index.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 from .domain import Direction, PreferenceProfile, Scenario, utility_unchecked
 from .opponents import ARCHETYPES, TimeTacticNegotiator, build_opponent
 from .protocol import Action, ActionKind, Party
-from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic, demand, sample_iso_offer
+from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic, demand, sample_iso_offers
 
 logger = logging.getLogger(__name__)
 
@@ -227,11 +228,14 @@ class TeamParty(Party):
         return refs
 
     def member_proposals(self, t: float) -> list[np.ndarray]:
-        refs = self.member_references()
-        return [
-            sample_iso_offer(m.profile, m.demand(t), refs, rng, m.sampler)
-            for m, rng in zip(self.members, self.member_rngs)
-        ]
+        """Every member's candidate offer at its demand, from one stacked kernel call."""
+        return sample_iso_offers(
+            [m.profile for m in self.members],
+            [m.demand(t) for m in self.members],
+            self.member_references(),
+            self.member_rngs,
+            [m.sampler for m in self.members],
+        )
 
     def accept_votes(self, offer: np.ndarray, t: float) -> list[bool]:
         return [m.utility(offer) >= m.demand(t) for m in self.members]
@@ -416,6 +420,16 @@ class MemberSpec:
     reservation_utility: float = 0.0
 
 
+def _check_beta_range(beta_range: tuple[float, float] | None, owner: str) -> None:
+    if beta_range is None:
+        return
+    if len(beta_range) != 2:
+        raise ValueError(f"{owner} beta_range must be [lo, hi], got {list(beta_range)!r}")
+    lo, hi = beta_range
+    if not (0.0 < lo <= hi and math.isfinite(hi)):
+        raise ValueError(f"{owner} beta_range must satisfy 0 < lo <= hi, finite; got [{lo!r}, {hi!r}]")
+
+
 @dataclass
 class TeamConfig:
     name: str
@@ -430,8 +444,20 @@ class TeamConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}")
-        if self.representative_behavior != "time_tactic" and self.representative_behavior not in ARCHETYPES:
-            raise ValueError(f"unknown representative behavior {self.representative_behavior!r}")
+        if self.representative_behavior not in ARCHETYPES:
+            raise ValueError(
+                f"team {self.name!r}: unknown representative behavior {self.representative_behavior!r}; "
+                f"known: {', '.join(sorted(ARCHETYPES))}"
+            )
+        if self.representative_behavior == "time_tactic" and self.representative_params:
+            # a time-tactic representative runs its own member tactic
+            raise ValueError(f"team {self.name!r}: representative_params need an archetype behavior")
+        _check_beta_range(self.beta_range, f"team {self.name!r}")
+        for i, spec in enumerate(self.members or ()):
+            owner = f"team {self.name!r} member {i}"
+            if spec.beta is not None and not (math.isfinite(spec.beta) and spec.beta > 0.0):
+                raise ValueError(f"{owner} beta must be positive and finite, got {spec.beta!r}")
+            _check_beta_range(spec.beta_range, owner)
 
 
 def resolve_members(

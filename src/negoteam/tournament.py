@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .domain import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .opponents import build_opponent
 from .protocol import Outcome, SessionConfig, Transcript, run_session
@@ -63,6 +62,26 @@ class TournamentConfig:
         names = [t.name for t in self.teams] + [o.name for o in self.opponents]
         if len(set(names)) != len(names):
             raise ValueError("team and opponent names must be unique")
+        # build every opponent and archetype representative once, untouched,
+        # so that a bad archetype, parameter name or value fails on load
+        # rather than when its first session runs
+        probe = np.random.default_rng(0)
+        for opp in self.opponents:
+            try:
+                build_opponent(opp.archetype, self.scenario.opponent_profile, probe, opp.params)
+            except ValueError as exc:
+                raise ValueError(f"opponent {opp.name!r}: {exc}") from None
+        for team in self.teams:
+            if team.strategy == "RE" and team.representative_behavior != "time_tactic":
+                try:
+                    build_opponent(
+                        team.representative_behavior,
+                        self.scenario.team_profiles[0],
+                        probe,
+                        team.representative_params,
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"team {team.name!r} representative: {exc}") from None
 
 
 @dataclass
@@ -213,7 +232,6 @@ def run_tournament(
     transcript_handler: Callable[[SessionRecord, Transcript], None] | None = None,
 ) -> list[SessionRecord]:
     """Run every (team, opponent, repetition) session, in canonical order."""
-    _kernels.warm_up()
     records = []
     for team_cfg in config.teams:
         for opp_cfg in config.opponents:

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from negoteam._kernels import warm_up
 from negoteam.domain import hotel_booking
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay the JIT cost once, before any timed assertion runs
-    warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from negoteam.tactics import (
     TimeTactic,
     demand,
     sample_iso_offer,
+    sample_iso_offers,
     select_candidate,
 )
 
@@ -154,6 +155,18 @@ def test_sample_on_target_property(target, seed):
     u = utility(profile, offer)
     # fallback to the ideal offer is legitimate only when off-target
     assert abs(u - target) <= 1e-6 or np.array_equal(offer, ideal_offer(profile))
+
+
+def test_stacked_sampling_needs_one_candidate_count(scenario, rng):
+    profiles = scenario.team_profiles[:2]
+    configs = [IsoSamplerConfig(candidate_count=10), IsoSamplerConfig(candidate_count=20)]
+    with pytest.raises(ValueError):
+        sample_iso_offers(profiles, [0.5, 0.5], None, [rng, rng], configs)
+    # an agent at target 1 draws nothing, so its count does not matter
+    offers = sample_iso_offers(profiles, [0.5, 1.0], None, [rng, rng], configs)
+    assert np.array_equal(offers[1], ideal_offer(profiles[1]))
+    with pytest.raises(ValueError):
+        sample_iso_offers(profiles, [0.5, 1.5], None, [rng, rng], configs[:1] * 2)
 
 
 # --- candidate selection hook ---

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from negoteam.domain import PreferenceProfile
 from negoteam.opponents import TimeTacticNegotiator
 from negoteam.protocol import ActionKind, SessionConfig, run_session, transcripts_equal
-from negoteam.tactics import TimeTactic
+from negoteam.tactics import TimeTactic, sample_iso_offer
 from negoteam.team import (
     STRATEGIES,
     BordaVotingTeam,
@@ -297,6 +297,33 @@ def test_proposals_track_member_demands(scenario):
     views = [m.utility(action.offer) for m in members]
     demands = [m.demand(0.3) for m in members]
     assert any(abs(v - d) <= 1e-6 for v, d in zip(views, demands))
+
+
+@pytest.mark.parametrize("cls", [SimilarityVotingTeam, BordaVotingTeam])
+def test_member_proposals_equal_one_sampler_call_per_member(scenario, cls):
+    # the middle member demands 1 throughout, so it never draws; at t = 0
+    # nobody draws
+    tactics = [
+        TimeTactic(beta=0.3),
+        TimeTactic(beta=1.0, reservation_utility=1.0),
+        TimeTactic(beta=2.0, reservation_utility=0.2),
+    ]
+    members = [TeamMember(profile=p, tactic=tt) for p, tt in zip(scenario.team_profiles, tactics)]
+    team = cls(members, seed=11)
+    _, clones = derive_team_streams(11, len(members))
+    for t in (0.0, 0.2, 0.6, 0.95):
+        got = team.member_proposals(t)
+        refs = team.member_references()
+        want = [
+            sample_iso_offer(m.profile, m.demand(t), refs, rng, m.sampler)
+            for m, rng in zip(members, clones)
+        ]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        team.receive_offer(np.full(4, 0.4 + t / 4), t)
+        team.last_team_offer = got[2]
+    # every member stream was drawn from exactly as often
+    assert [r.random() for r in team.member_rngs] == [r.random() for r in clones]
 
 
 def test_unanimity_build_proposal_meets_every_member_demand():

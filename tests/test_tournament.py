@@ -213,3 +213,71 @@ def test_tournament_config_roundtrips_through_dict():
     doc = tournament_config_to_dict(desk_config(repetitions=3, max_rounds=77))
     assert tournament_config_to_dict(tournament_config_from_dict(doc)) == doc
     assert doc["tournament"] == {"repetitions": 3, "max_rounds": 77, "seed": 12345}
+
+
+# --- load-time validation ---
+
+
+def desk_doc():
+    return tournament_config_to_dict(desk_config(repetitions=1, max_rounds=10))
+
+
+def test_load_rejects_an_unknown_opponent_archetype():
+    doc = desk_doc()
+    doc["opponents"][0]["archetype"] = "crazy_hagler"
+    with pytest.raises(ValueError, match="opponent 'Crazy': unknown archetype 'crazy_hagler'"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_an_unknown_representative_behavior():
+    doc = desk_doc()
+    doc["teams"][2]["representative_behavior"] = "agent_kk"
+    with pytest.raises(ValueError, match="unknown representative behavior 'agent_kk'"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_an_opponent_params_key_the_archetype_does_not_take():
+    doc = desk_doc()
+    doc["opponents"][0]["params"] = {"treshold": 0.9}
+    with pytest.raises(ValueError, match="takes no parameter 'treshold'"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_a_representative_params_key_the_archetype_does_not_take():
+    doc = desk_doc()
+    doc["teams"][2]["representative_params"] = {"gama": 2.0}
+    with pytest.raises(ValueError, match="'RE K' representative: .* no parameter 'gama'"):
+        tournament_config_from_dict(doc)
+    # a time-tactic representative runs its member tactic and takes no params
+    doc = desk_doc()
+    doc["teams"][2].update(representative_behavior="time_tactic", representative_params={"beta": 0.2})
+    with pytest.raises(ValueError, match="representative_params"):
+        tournament_config_from_dict(doc)
+
+
+@pytest.mark.parametrize("beta_range", [[0.99, 0.5], [0.0, 0.5], [-0.1, 0.5], [0.5, float("inf")]])
+def test_load_rejects_a_beta_range_outside_zero_lo_hi(beta_range):
+    doc = desk_doc()
+    doc["teams"][0]["beta_range"] = beta_range
+    with pytest.raises(ValueError, match="beta_range"):
+        tournament_config_from_dict(doc)
+    doc = desk_doc()
+    doc["teams"][3]["members"] = [{"beta_range": beta_range}, {"beta": 1.0}, {"beta": 1.0}]
+    with pytest.raises(ValueError, match="'SSV B' member 0 beta_range"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_a_fixed_member_beta_that_is_not_positive():
+    doc = desk_doc()
+    doc["teams"][3]["members"] = [{"beta": 1.0}, {"beta": 0.0}, {"beta": 1.0}]
+    with pytest.raises(ValueError, match="'SSV B' member 1 beta must be positive"):
+        tournament_config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["base", "slope", "sigma_mult"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_load_rejects_non_finite_haggler_parameters(key, value):
+    doc = desk_doc()
+    doc["opponents"][1]["params"] = {key: value}
+    with pytest.raises(ValueError, match="opponent 'Haggler': .*finite"):
+        tournament_config_from_dict(doc)
