@@ -8,14 +8,12 @@ reporting.
 """
 from .domain import (
     Direction,
-    PartialOffer,
     PreferenceProfile,
     Scenario,
     as_offer,
     hotel_booking,
     ideal_offer,
     load_scenario,
-    partial_utility,
     save_scenario,
     utility,
     valuation,

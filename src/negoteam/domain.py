@@ -103,54 +103,9 @@ def utility_unchecked(profile: PreferenceProfile, offer: np.ndarray) -> float:
     return float(profile.offset + profile.gradient @ offer)
 
 
-@dataclass
-class PartialOffer:
-    """Offer under construction: values for a subset of issues.
-
-    Unset issues carry no utility contribution. ``set`` is idempotent per
-    issue; completing the offer requires every issue to be set.
-    """
-
-    values: np.ndarray
-    mask: np.ndarray
-
-    @classmethod
-    def empty(cls, n_issues: int) -> "PartialOffer":
-        return cls(values=np.zeros(n_issues), mask=np.zeros(n_issues, dtype=bool))
-
-    def set(self, issue: int, value: float) -> None:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("issue value outside [0, 1]")
-        self.values[issue] = value
-        self.mask[issue] = True
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(self.mask.all())
-
-    def to_offer(self) -> np.ndarray:
-        if not self.is_complete:
-            raise ValueError("partial offer still has unset issues")
-        return self.values.copy()
-
-
-def partial_utility(profile: PreferenceProfile, partial: PartialOffer) -> float:
-    """Utility contribution of the issues set so far."""
-    if partial.values.size != profile.n_issues:
-        raise ValueError("partial offer does not match the profile's issue count")
-    m = partial.mask
-    vals = np.where(profile.signs[m] > 0.0, partial.values[m], 1.0 - partial.values[m])
-    return float(profile.weights[m] @ vals)
-
-
 def ideal_offer(profile: PreferenceProfile) -> np.ndarray:
     """The unique offer with utility exactly 1 for this profile."""
     return np.where(profile.signs > 0.0, 1.0, 0.0)
-
-
-def worst_value(profile: PreferenceProfile, issue: int) -> float:
-    """Value of one issue at this profile's least favourable extreme."""
-    return 0.0 if profile.signs[issue] > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------

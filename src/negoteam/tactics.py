@@ -72,27 +72,6 @@ class IsoSamplerConfig:
 DEFAULT_SAMPLER = IsoSamplerConfig()
 
 
-def select_candidate(
-    points: np.ndarray,
-    utilities: np.ndarray,
-    valid: np.ndarray,
-    references: np.ndarray | None,
-) -> np.ndarray | None:
-    """Pick the winning candidate among projected points.
-
-    With references: the valid point minimising the summed Euclidean distance
-    to all references. Without: the valid point with the highest utility.
-    Ties go to the lowest candidate index. Returns None when nothing is valid.
-    """
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        return None
-    if references is not None and len(references) > 0:
-        dists = _kernels.ref_distance_sums(points[idx], references)
-        return points[idx[int(np.argmin(dists))]].copy()
-    return points[idx[int(np.argmax(utilities[idx]))]].copy()
-
-
 def sample_iso_offer(
     profile: PreferenceProfile,
     target_u: float,

@@ -8,8 +8,10 @@ in the averages.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import logging
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,8 +29,6 @@ from .team import (
     team_config_from_dict,
     team_config_to_dict,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_MASTER_SEED = 12345
 
@@ -71,7 +71,20 @@ class TournamentConfig:
                 build_opponent(opp.archetype, self.scenario.opponent_profile, probe, opp.params)
             except ValueError as exc:
                 raise ValueError(f"opponent {opp.name!r}: {exc}") from None
+        first, *others = self.scenario.team_profiles
+        misaligned = [
+            (profile.name, issue)
+            for profile in others
+            for issue, mine, theirs in zip(self.scenario.issues, profile.directions, first.directions)
+            if mine != theirs
+        ]
         for team in self.teams:
+            if team.strategy == "FUM" and misaligned:
+                name, issue = misaligned[0]
+                raise ValueError(
+                    f"team {team.name!r}: unanimity building requires identical issue "
+                    f"directions, but {first.name!r} and {name!r} disagree on {issue!r}"
+                )
             if team.strategy == "RE" and team.representative_behavior != "time_tactic":
                 try:
                     build_opponent(
@@ -227,27 +240,49 @@ def _record_from_outcome(
     )
 
 
+def _play_cell(cell: tuple) -> tuple[SessionRecord, Transcript]:
+    """``run_pairing_session`` on one packed cell, for ``map`` in a worker."""
+    return run_pairing_session(*cell)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_tournament(
     config: TournamentConfig,
     transcript_handler: Callable[[SessionRecord, Transcript], None] | None = None,
 ) -> list[SessionRecord]:
-    """Run every (team, opponent, repetition) session, in canonical order."""
+    """Run every (team, opponent, repetition) session, in canonical order.
+
+    Sessions are played on every CPU this process may use, one worker
+    process each; with one CPU they run in this process. Results come back
+    in canonical order, so records and handler calls do not depend on the
+    CPU count.
+    """
+    cells = [
+        (config.scenario, team_cfg, opp_cfg, repetition, config.master_seed, config.max_rounds)
+        for team_cfg in config.teams
+        for opp_cfg in config.opponents
+        for repetition in range(config.repetitions)
+    ]
+    workers = min(_usable_cpus(), len(cells))
     records = []
-    for team_cfg in config.teams:
-        for opp_cfg in config.opponents:
-            for repetition in range(config.repetitions):
-                record, transcript = run_pairing_session(
-                    config.scenario,
-                    team_cfg,
-                    opp_cfg,
-                    repetition,
-                    config.master_seed,
-                    config.max_rounds,
-                )
-                records.append(record)
-                if transcript_handler is not None:
-                    transcript_handler(record, transcript)
-            logger.debug("finished %s vs %s", team_cfg.name, opp_cfg.name)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # cancel what has not started if the handler or a session raises
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_play_cell, cells)
+        else:
+            results = map(_play_cell, cells)
+        for record, transcript in results:
+            records.append(record)
+            if transcript_handler is not None:
+                transcript_handler(record, transcript)
     return records
 
 

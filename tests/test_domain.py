@@ -6,21 +6,18 @@ import pytest
 from negoteam.domain import (
     BUILTIN_SCENARIOS,
     Direction,
-    PartialOffer,
     PreferenceProfile,
     Scenario,
     as_offer,
     hotel_booking,
     ideal_offer,
     load_scenario,
-    partial_utility,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     utility,
     utility_unchecked,
     valuation,
-    worst_value,
 )
 
 
@@ -57,7 +54,7 @@ def test_utility_is_affine_form():
 def test_utility_bounds_at_extremes():
     p = _profile([0.6, 0.4], [Direction.INCREASING, Direction.DECREASING])
     assert utility(p, ideal_offer(p)) == pytest.approx(1.0, abs=1e-15)
-    worst = np.array([worst_value(p, 0), worst_value(p, 1)])
+    worst = 1.0 - ideal_offer(p)
     assert utility(p, worst) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -68,18 +65,6 @@ def test_as_offer_rejects_bad_vectors():
         as_offer([[0.1], [0.2]])
     with pytest.raises(ValueError):
         as_offer([0.1, 0.2], n_issues=3)
-
-
-def test_partial_offer_lifecycle():
-    partial = PartialOffer.empty(3)
-    assert not partial.is_complete
-    partial.set(1, 0.5)
-    p = _profile([0.2, 0.5, 0.3], [Direction.INCREASING] * 3)
-    assert partial_utility(p, partial) == pytest.approx(0.25)
-    partial.set(0, 1.0)
-    partial.set(2, 0.0)
-    assert partial.is_complete
-    assert utility(p, partial.to_offer()) == pytest.approx(0.2 + 0.25)
 
 
 def test_hotel_booking_weights_match_published_table():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negoteam import _kernels
 from negoteam.domain import PreferenceProfile, ideal_offer, utility
 from negoteam.tactics import (
     DEFAULT_SAMPLER,
@@ -13,7 +14,6 @@ from negoteam.tactics import (
     demand,
     sample_iso_offer,
     sample_iso_offers,
-    select_candidate,
 )
 
 
@@ -169,46 +169,22 @@ def test_stacked_sampling_needs_one_candidate_count(scenario, rng):
         sample_iso_offers(profiles, [0.5, 1.5], None, [rng, rng], configs[:1] * 2)
 
 
-# --- candidate selection hook ---
-
-
-def test_select_candidate_no_valid_returns_none():
-    points = np.zeros((3, 2))
-    utils = np.array([0.1, 0.2, 0.3])
-    valid = np.array([False, False, False])
-    assert select_candidate(points, utils, valid, None) is None
-
-
-def test_select_candidate_max_utility_without_references():
-    points = np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]])
-    utils = np.array([0.2, 0.8, 0.5])
-    valid = np.array([True, True, True])
-    chosen = select_candidate(points, utils, valid, None)
-    assert np.array_equal(chosen, points[1])
-
-
-def test_select_candidate_min_distance_with_references():
-    points = np.array([[0.0, 0.0], [0.6, 0.6], [1.0, 1.0]])
-    utils = np.array([0.3, 0.3, 0.3])
-    valid = np.array([True, True, True])
-    refs = np.array([[0.5, 0.5]])
-    chosen = select_candidate(points, utils, valid, refs)
-    assert np.array_equal(chosen, points[1])
+# --- candidate selection (runs in _kernels.choose_iso) ---
 
 
 def test_select_candidate_skips_invalid():
-    points = np.array([[0.0, 0.0], [0.6, 0.6], [1.0, 1.0]])
-    utils = np.array([0.3, 0.9, 0.3])
-    valid = np.array([True, False, True])
-    refs = np.array([[0.5, 0.5]])
-    chosen = select_candidate(points, utils, valid, refs)
-    # 0.6,0.6 would win but is invalid; 1,1 and 0,0 tie-break by distance
-    assert np.array_equal(chosen, points[0]) or np.array_equal(chosen, points[2])
+    # no projection steps: the candidates are scored where they stand
+    grad = np.array([[0.5, -0.5]])
+    cands = np.array([[0.2, 0.2], [0.6, 0.5], [0.9, 0.9]])  # utilities 0.5, 0.55, 0.5
+    refs = np.array([[0.6, 0.55]])
+    point, _, found = _kernels.choose_iso(cands, grad, [0.5], [0.5], [1e-9], 0, refs)
+    # the off-target middle candidate is nearest the reference but never wins
+    assert found[0] and np.array_equal(point[0], cands[2])
 
 
 def test_select_candidate_tie_goes_to_lowest_index():
-    points = np.array([[0.4, 0.6], [0.6, 0.4]])
-    utils = np.array([0.5, 0.5])
-    valid = np.array([True, True])
-    chosen = select_candidate(points, utils, valid, None)
-    assert np.array_equal(chosen, points[0])
+    # equal utilities and no references: the lowest index wins
+    cands = np.array([[0.4, 0.6], [0.6, 0.4]])
+    grad = np.array([[0.5, 0.5]])
+    point, u, found = _kernels.choose_iso(cands, grad, [0.0], [0.5], [0.1], 0, np.empty((0, 2)))
+    assert found[0] and u[0] == 0.5 and np.array_equal(point[0], cands[0])

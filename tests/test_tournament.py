@@ -1,11 +1,14 @@
 """Seed derivation, session reproducibility and the tournament harness."""
 
+import os
+
 import numpy as np
 import pytest
 
 from negoteam.domain import hotel_booking
 from negoteam.protocol import run_session, transcripts_equal
-from negoteam.team import TeamConfig
+from negoteam.report import sessions_to_csv
+from negoteam.team import MemberSpec, TeamConfig
 from negoteam.tournament import (
     DEFAULT_MASTER_SEED,
     OpponentConfig,
@@ -103,7 +106,7 @@ def test_record_summarises_member_utilities():
     assert set(record.member_utilities) == {p.name for p in scenario.team_profiles}
 
 
-def test_run_tournament_covers_the_grid_in_order():
+def test_run_tournament_covers_the_grid_in_order(monkeypatch):
     config = TournamentConfig(
         scenario=hotel_booking(),
         teams=[tiny_team(name="one"), tiny_team(strategy="FUM", name="two")],
@@ -115,8 +118,22 @@ def test_run_tournament_covers_the_grid_in_order():
         max_rounds=30,
         master_seed=1,
     )
-    seen = []
-    records = run_tournament(config, transcript_handler=lambda r, t: seen.append(r))
+    # a session that raises stops the run the same way on any CPU count
+    short = TeamConfig(name="short", strategy="SSV", members=[MemberSpec(beta=1.0)])
+    failing = TournamentConfig(
+        scenario=config.scenario, teams=[short], opponents=config.opponents, repetitions=2
+    )
+    # one CPU plays in this process, two through a pool of two workers
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        seen = []
+        records = run_tournament(config, transcript_handler=lambda r, t: seen.append((r, t)))
+        assert [r for r, _ in seen] == records
+        runs[cpus] = records, seen
+        with pytest.raises(ValueError, match="'short' declares 1 members for 3 team profiles"):
+            run_tournament(failing)
+    records, seen = runs[2]
     assert len(records) == 2 * 2 * 2
     assert [(r.team, r.opponent, r.repetition) for r in records] == [
         (t, o, rep)
@@ -124,7 +141,10 @@ def test_run_tournament_covers_the_grid_in_order():
         for o in ("tft", "smith")
         for rep in (0, 1)
     ]
-    assert seen == records
+    in_process, seen_in_process = runs[1]
+    assert records == in_process
+    assert sessions_to_csv(records) == sessions_to_csv(in_process)
+    assert all(transcripts_equal(a, b) for (_, a), (_, b) in zip(seen, seen_in_process, strict=True))
     # each cell matches the session run standalone
     solo, _ = run_pairing_session(
         config.scenario, config.teams[1], config.opponents[0], 1, 1, max_rounds=30
@@ -272,6 +292,16 @@ def test_load_rejects_a_fixed_member_beta_that_is_not_positive():
     doc["teams"][3]["members"] = [{"beta": 1.0}, {"beta": 0.0}, {"beta": 1.0}]
     with pytest.raises(ValueError, match="'SSV B' member 1 beta must be positive"):
         tournament_config_from_dict(doc)
+
+
+def test_load_rejects_a_unanimity_team_whose_members_disagree_on_a_direction():
+    doc = desk_doc()
+    doc["scenario"]["profiles"][1]["directions"][2] = "decreasing"
+    with pytest.raises(ValueError, match="team 'FUM B': .*'a1' and 'a2' disagree on 'payment_deadline'"):
+        tournament_config_from_dict(doc)
+    # voting and representative teams take members of any direction
+    doc["teams"] = [t for t in doc["teams"] if t["strategy"] != "FUM"]
+    tournament_config_from_dict(doc)
 
 
 @pytest.mark.parametrize("key", ["base", "slope", "sigma_mult"])
