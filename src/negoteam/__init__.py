@@ -14,7 +14,6 @@ from .domain import (
     hotel_booking,
     ideal_offer,
     load_scenario,
-    save_scenario,
     utility,
     valuation,
 )
@@ -28,10 +27,11 @@ from .protocol import (
     Transcript,
     load_transcript,
     run_session,
+    run_sessions,
     save_transcript,
     score,
 )
-from .tactics import IsoSamplerConfig, TimeTactic, demand, sample_iso_offer
+from .tactics import IsoSamplerConfig, SampleRequest, TimeTactic, demand, sample_iso_offer
 from .team import (
     MemberSpec,
     TeamConfig,

@@ -74,31 +74,50 @@ def project_iso(cands, grads, offsets, targets, tols, max_iter):
 
 
 def ref_distance_sums(points, refs):
-    """Sum of Euclidean distances from each point to every reference offer."""
-    diff = points[:, None, :] - refs[None, :, :]
+    """Sum of Euclidean distances from each point to its reference offers.
+
+    ``refs`` is (r, n), shared by every point, or (P, r, n), one block per point.
+    """
+    diff = points[:, None, :] - refs
     return np.sqrt(np.einsum("prk,prk->pr", diff, diff)).sum(axis=1)
 
 
 def choose_iso(cands, grads, offsets, targets, tols, max_iter, refs):
     """Project every agent's candidates and pick each agent's winner.
 
-    Arguments as for :func:`project_iso`, plus ``refs`` (r, n), shared by all
-    agents. With references an agent's winner is its valid candidate with the
-    smallest summed distance to them; without (``refs`` has zero rows) its
-    valid candidate with the highest utility. Ties go to the lowest index.
+    Arguments as for :func:`project_iso`, plus ``refs``: one entry per agent,
+    that agent's reference offers as r_j rows of n (r_j may be 0 and differ
+    between agents). With references an agent's winner is its valid
+    candidate with the smallest summed distance to them; without, its valid
+    candidate with the highest utility. Ties go to the lowest index. Agents
+    with the same number of references are scored together, each against
+    its own rows.
 
     Returns (points (J, n), utilities (J,), found (J,)); an agent none of
     whose candidates lands within its tolerance gets found False, a zero
     point and utility 0.
     """
     points, utils, valid = project_iso(cands, grads, offsets, targets, tols, max_iter)
-    if refs.shape[0] == 0:
-        keys = np.where(valid, -utils, np.inf)
-    else:
-        # distances of the valid candidates only, as most of the cost is here
-        idx = np.flatnonzero(valid)
-        keys = np.full(utils.shape, np.inf)
-        keys.reshape(-1)[idx] = ref_distance_sums(points.reshape(-1, points.shape[2]).take(idx, axis=0), refs)
+    keys = np.where(valid, -utils, np.inf)
+    by_count: dict[int, list[int]] = {}
+    for j, agent_refs in enumerate(refs):
+        if len(agent_refs):
+            by_count.setdefault(len(agent_refs), []).append(j)
+    n_cands = utils.shape[1]
+    flat_points = points.reshape(-1, points.shape[2])
+    for agents in by_count.values():
+        # distances of the valid candidates only, as most of the cost is here;
+        # idx counts within the group's rows, rows within the whole stack
+        group_valid = valid if len(agents) == len(refs) else valid[agents]
+        idx = np.flatnonzero(group_valid)
+        rows = idx if group_valid is valid else np.array(agents)[idx // n_cands] * n_cands + idx % n_cands
+        # each agent's block once per valid candidate, in the order of rows
+        blocks = np.repeat(
+            np.array([refs[j] for j in agents], dtype=np.float64),
+            np.count_nonzero(group_valid, axis=1),
+            axis=0,
+        )
+        keys.reshape(-1)[rows] = ref_distance_sums(flat_points.take(rows, axis=0), blocks)
     # argmin takes the first of equal keys: the lowest index
     best = keys.argmin(axis=1)
     agents = np.arange(grads.shape[0])
@@ -115,4 +134,4 @@ def warm_up() -> None:
     """One tiny kernel call, so that first-call costs fall outside timed work."""
     cands = np.array([[0.2, 0.8, 0.5, 0.1]])
     grad = np.array([[0.4, -0.3, 0.2, -0.1]])
-    choose_iso(cands, grad, [0.4], [0.5], [1e-6], 10, cands)
+    choose_iso(cands, grad, [0.4], [0.5], [1e-6], 10, [cands])

@@ -8,6 +8,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -30,17 +31,18 @@ def _slug(text: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = tournament_config_from_dict(json.load(fh))
-    else:
-        config = desk_config()
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.reps is not None:
-        config.repetitions = args.reps
-    if args.max_rounds is not None:
-        config.max_rounds = args.max_rounds
+    try:
+        if args.config is not None:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = tournament_config_from_dict(json.load(fh))
+        else:
+            config = desk_config()
+        # replace() checks the overridden config as loading checks a file
+        overrides = {"master_seed": args.seed, "repetitions": args.reps, "max_rounds": args.max_rounds}
+        config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out)
     transcripts_dir = out_dir / "transcripts"

@@ -232,8 +232,3 @@ def load_scenario(source: str | Path) -> Scenario:
     with path.open("r", encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))
 
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")

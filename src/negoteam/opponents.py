@@ -19,8 +19,8 @@ from typing import Mapping
 import numpy as np
 
 from .domain import PreferenceProfile, utility_unchecked
-from .protocol import Action, Party
-from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic, demand, sample_iso_offer
+from .protocol import Action, Decision, Party
+from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, SampleRequest, TimeTactic, demand
 
 logger = logging.getLogger(__name__)
 
@@ -116,8 +116,9 @@ class _BilateralAgent(Party):
         self.last_received = offer
         self.beliefs.observe(offer, utility_unchecked(self.profile, offer))
 
-    def _propose(self, target: float, references: list[np.ndarray]) -> Action:
-        offer = sample_iso_offer(self.profile, target, references, self.rng, self.sampler)
+    def _propose(self, target: float, references: list[np.ndarray]) -> Decision:
+        """Ask for an offer at ``target`` near ``references`` and propose it."""
+        (offer,) = yield [SampleRequest(self.profile, target, references, self.rng, self.sampler)]
         self.last_sent = offer
         return Action.propose(offer)
 
@@ -143,7 +144,7 @@ class TimeTacticNegotiator(_BilateralAgent):
         self.tactic = tactic
         self.use_own_reference = use_own_reference
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         s = demand(self.tactic, t)
         if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= s:
             return Action.accept()
@@ -152,7 +153,7 @@ class TimeTacticNegotiator(_BilateralAgent):
             refs.append(self.last_received)
         if self.use_own_reference and self.last_sent is not None:
             refs.append(self.last_sent)
-        return self._propose(s, refs)
+        return (yield from self._propose(s, refs))
 
 
 class CrazyHaggler(_BilateralAgent):
@@ -179,12 +180,12 @@ class CrazyHaggler(_BilateralAgent):
             raise ValueError("threshold must lie in (0, 1]")
         self.threshold = threshold
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= self.threshold:
             return Action.accept()
         headroom = 1.0 - self.threshold
         target = self.threshold + headroom * self.rng.uniform(self.TARGET_MARGIN, 1.0)
-        return self._propose(target, [])
+        return (yield from self._propose(target, []))
 
 
 class AgentKLike(_BilateralAgent):
@@ -213,7 +214,7 @@ class AgentKLike(_BilateralAgent):
         emax = min(max(self.beliefs.mean + self.beliefs.std, 0.0), 1.0) if self.beliefs.count else 0.0
         return max(emax, 1.0 - (1.0 - emax) * t**self.gamma)
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         target = self.target(t)
         if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= target:
             return Action.accept()
@@ -222,7 +223,7 @@ class AgentKLike(_BilateralAgent):
             self.last_sent = offer
             return Action.propose(offer)
         refs = [self.last_received] if self.last_received is not None else []
-        return self._propose(target, refs)
+        return (yield from self._propose(target, refs))
 
 
 class SmithLike(_BilateralAgent):
@@ -253,7 +254,7 @@ class SmithLike(_BilateralAgent):
     def target(self, t: float) -> float:
         return 1.0 - (1.0 - self.floor) * t
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         if t >= self.final_phase and self.beliefs.best_offer is not None:
             if (
                 self.last_received is not None
@@ -268,7 +269,7 @@ class SmithLike(_BilateralAgent):
             return Action.accept()
         mean_offer = self.beliefs.mean_offer
         refs = [mean_offer] if mean_offer is not None else []
-        return self._propose(target, refs)
+        return (yield from self._propose(target, refs))
 
 
 class NiceTitForTat(_BilateralAgent):
@@ -316,7 +317,7 @@ class NiceTitForTat(_BilateralAgent):
     def target(self, t: float) -> float:
         return 1.0 - self.relative_concession() * (1.0 - self.nash_floor)
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         target = self.target(t)
         if self.last_received is not None:
             u = utility_unchecked(self.profile, self.last_received)
@@ -325,7 +326,7 @@ class NiceTitForTat(_BilateralAgent):
             if t >= self.endgame and u >= self.beliefs.best_utility:
                 return Action.accept()
         refs = [self.last_received] if self.last_received is not None else []
-        return self._propose(target, refs)
+        return (yield from self._propose(target, refs))
 
 
 class HagglerAdaptive(_BilateralAgent):
@@ -353,12 +354,12 @@ class HagglerAdaptive(_BilateralAgent):
         floor = self.beliefs.mean + self.sigma_mult * self.beliefs.std if self.beliefs.count else 0.0
         return max(self.base - self.slope * t, floor)
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         target = self.target(t)
         if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= target:
             return Action.accept()
         refs = [self.last_received] if self.last_received is not None else []
-        return self._propose(min(max(target, 0.0), 1.0), refs)
+        return (yield from self._propose(min(max(target, 0.0), 1.0), refs))
 
 
 def _build_time_tactic(

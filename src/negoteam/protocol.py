@@ -6,6 +6,11 @@ round both parties act once, in initiator order, at normalised time
 t = round / max_rounds. A proposal becomes the standing offer; accepting the
 standing offer ends the session in agreement; the deadline or an explicit
 end action terminates it in failure, scoring zero for everyone.
+
+Sessions are played by one loop, :func:`run_sessions`, which moves any
+number of independent sessions forward in lockstep, one action each per
+step, and serves the offers their parties ask for with one sampler call per
+step. :func:`run_session` is its one-session case.
 """
 from __future__ import annotations
 
@@ -15,11 +20,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
 from .domain import PreferenceProfile, utility
+from .tactics import SampleRequest, sample_iso_offers
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +64,11 @@ class Action:
         return cls(ActionKind.END)
 
 
+# how a party acts: it yields lists of sampler requests, is sent the offers
+# for each list, and returns its action
+Decision = Generator[list[SampleRequest], list[np.ndarray], Action]
+
+
 class Party(ABC):
     """A negotiating party: deterministic given its seed and what it has seen."""
 
@@ -73,8 +84,23 @@ class Party(ABC):
         """Observe the other party's proposal at normalised time t."""
 
     @abstractmethod
+    def decide(self, t: float) -> Decision:
+        """Act at normalised time t, as a :data:`Decision` generator.
+
+        The offers it asks for are drawn by the code that runs the generator,
+        so that the requests of many parties can share one kernel call.
+        """
+
     def choose_action(self, t: float) -> Action:
-        """Act at normalised time t."""
+        """Act at normalised time t, serving each of its requests on the spot."""
+        decision = self.decide(t)
+        offers = None
+        while True:
+            try:
+                requests = decision.send(offers)
+            except StopIteration as done:
+                return done.value
+            offers = sample_iso_offers(requests)
 
 
 @dataclass(frozen=True)
@@ -138,6 +164,118 @@ def _all_profiles(team: Party, opponent: Party) -> dict[str, PreferenceProfile]:
     return profiles
 
 
+class _LiveSession:
+    """One session's state between the steps of :func:`run_sessions`."""
+
+    __slots__ = ("max_rounds", "profiles", "transcript", "outcome", "turns", "turn", "round", "standing")
+
+    def __init__(
+        self, team_party: Party, opponent_party: Party, config: SessionConfig, meta: dict | None
+    ) -> None:
+        self.max_rounds = config.max_rounds
+        self.profiles = _all_profiles(team_party, opponent_party)
+        self.transcript = Transcript(config=dict(meta or {}))
+        self.outcome: Outcome | None = None
+        if config.initiator == "team":
+            self.turns = ((team_party, opponent_party), (opponent_party, team_party))
+        else:
+            self.turns = ((opponent_party, team_party), (team_party, opponent_party))
+        self.turn = 0
+        self.round = 0
+        self.standing: np.ndarray | None = None
+
+    def decide(self) -> Decision:
+        return self.turns[self.turn][0].decide(self.round / self.max_rounds)
+
+    def act(self, action: Action) -> None:
+        """Record the acting party's action and move on to the next turn."""
+        actor, other = self.turns[self.turn]
+        rnd = self.round
+        t = rnd / self.max_rounds
+        self.transcript.entries.append(TranscriptEntry(rnd, t, actor.name, action))
+        if action.kind is ActionKind.ACCEPT:
+            if self.standing is None:
+                raise ProtocolViolation(f"{actor.name} accepted with no standing offer")
+            utilities, joint = score(self.standing, self.profiles)
+            self._finish(
+                Outcome(
+                    agreement=True,
+                    reason="accepted",
+                    offer=self.standing.copy(),
+                    utilities=utilities,
+                    joint_utility=joint,
+                    rounds_used=rnd + 1,
+                    accepted_by=actor.name,
+                    accepted_at=t,
+                )
+            )
+            return
+        if action.kind is ActionKind.END:
+            self._fail("ended", rnd + 1)
+            return
+        self.standing = action.offer
+        other.receive_offer(self.standing.copy(), t)
+        self.turn ^= 1
+        if self.turn == 0:
+            self.round += 1
+            if self.round == self.max_rounds:
+                self._fail("deadline", self.max_rounds)
+
+    def _fail(self, reason: str, rounds_used: int) -> None:
+        utilities, joint = score(None, self.profiles)
+        self._finish(
+            Outcome(
+                agreement=False,
+                reason=reason,
+                offer=None,
+                utilities=utilities,
+                joint_utility=joint,
+                rounds_used=rounds_used,
+            )
+        )
+
+    def _finish(self, outcome: Outcome) -> None:
+        self.outcome = outcome
+        self.transcript.outcome = outcome
+
+
+def run_sessions(
+    sessions: Sequence[tuple[Party, Party, SessionConfig, dict | None]],
+) -> list[tuple[Transcript, Outcome]]:
+    """Play independent sessions to termination, in lockstep.
+
+    Each ``(team_party, opponent_party, config, meta)`` session alternates
+    as :func:`run_session` describes. A step moves every unfinished session
+    on by one action, and the sampler requests its acting parties make are
+    served by one :func:`~negoteam.tactics.sample_iso_offers` call. Every
+    agent draws from its own stream in its own order, so each session's
+    transcript is the one it would have alone. Results are in input order.
+    """
+    played = [_LiveSession(*session) for session in sessions]
+    live = played
+    while live:
+        deciding = [(session, session.decide()) for session in live]
+        offers: list = [None] * len(deciding)
+        while deciding:
+            asking = []
+            requests: list[SampleRequest] = []
+            for (session, decision), answer in zip(deciding, offers):
+                try:
+                    asked = decision.send(answer)
+                except StopIteration as done:
+                    session.act(done.value)
+                else:
+                    asking.append((session, decision, len(requests), len(requests) + len(asked)))
+                    requests.extend(asked)
+            if not asking:
+                break
+            served = sample_iso_offers(requests)
+            deciding = [(session, decision) for session, decision, _, _ in asking]
+            offers = [served[lo:hi] for _, _, lo, hi in asking]
+        live = [session for session in live if session.outcome is None]
+    return [(session.transcript, session.outcome) for session in played]
+
+
 def run_session(
     team_party: Party,
     opponent_party: Party,
@@ -146,66 +284,11 @@ def run_session(
 ) -> tuple[Transcript, Outcome]:
     """Play one alternating-offers session to termination.
 
-    Deterministic: the same parties (same seeds) and config reproduce the
-    transcript action for action.
+    Each round both parties act once, in initiator order. Deterministic: the
+    same parties (same seeds) and config reproduce the transcript action
+    for action. This is :func:`run_sessions` with one session.
     """
-    profiles = _all_profiles(team_party, opponent_party)
-    transcript = Transcript(config=dict(meta or {}))
-    if config.initiator == "team":
-        order = ((team_party, opponent_party), (opponent_party, team_party))
-    else:
-        order = ((opponent_party, team_party), (team_party, opponent_party))
-
-    standing: np.ndarray | None = None
-    for rnd in range(config.max_rounds):
-        t = rnd / config.max_rounds
-        for actor, other in order:
-            action = actor.choose_action(t)
-            transcript.entries.append(TranscriptEntry(rnd, t, actor.name, action))
-            if action.kind is ActionKind.ACCEPT:
-                if standing is None:
-                    raise ProtocolViolation(
-                        f"{actor.name} accepted with no standing offer"
-                    )
-                utilities, joint = score(standing, profiles)
-                outcome = Outcome(
-                    agreement=True,
-                    reason="accepted",
-                    offer=standing.copy(),
-                    utilities=utilities,
-                    joint_utility=joint,
-                    rounds_used=rnd + 1,
-                    accepted_by=actor.name,
-                    accepted_at=t,
-                )
-                transcript.outcome = outcome
-                return transcript, outcome
-            if action.kind is ActionKind.END:
-                utilities, joint = score(None, profiles)
-                outcome = Outcome(
-                    agreement=False,
-                    reason="ended",
-                    offer=None,
-                    utilities=utilities,
-                    joint_utility=joint,
-                    rounds_used=rnd + 1,
-                )
-                transcript.outcome = outcome
-                return transcript, outcome
-            standing = action.offer
-            other.receive_offer(standing.copy(), t)
-
-    utilities, joint = score(None, profiles)
-    outcome = Outcome(
-        agreement=False,
-        reason="deadline",
-        offer=None,
-        utilities=utilities,
-        joint_utility=joint,
-        rounds_used=config.max_rounds,
-    )
-    transcript.outcome = outcome
-    return transcript, outcome
+    return run_sessions([(team_party, opponent_party, config, meta)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +72,20 @@ class IsoSamplerConfig:
 DEFAULT_SAMPLER = IsoSamplerConfig()
 
 
+class SampleRequest(NamedTuple):
+    """One agent's ask for an offer at ``target`` utility to ``profile``.
+
+    The candidates are drawn from ``rng``; ``references`` (zero or more
+    offers) steer the choice among the on-target ones.
+    """
+
+    profile: PreferenceProfile
+    target: float
+    references: Sequence[np.ndarray]
+    rng: np.random.Generator
+    config: IsoSamplerConfig
+
+
 def sample_iso_offer(
     profile: PreferenceProfile,
     target_u: float,
@@ -86,61 +100,49 @@ def sample_iso_offer(
     utility margin instead. target_u == 1 pins the ideal offer (the iso
     surface degenerates to a single point there).
     """
-    return sample_iso_offers([profile], [target_u], references, [rng], [config])[0]
+    return sample_iso_offers([SampleRequest(profile, target_u, references or (), rng, config)])[0]
 
 
-def sample_iso_offers(
-    profiles: Sequence[PreferenceProfile],
-    targets: Sequence[float],
-    references: Sequence[np.ndarray] | None,
-    rngs: Sequence[np.random.Generator],
-    configs: Sequence[IsoSamplerConfig],
-) -> list[np.ndarray]:
-    """One :func:`sample_iso_offer` per agent, all in a single kernel call.
+def sample_iso_offers(requests: Sequence[SampleRequest]) -> list[np.ndarray]:
+    """One :func:`sample_iso_offer` per request, in as few kernel calls as the shapes allow.
 
-    Agent i draws its candidates from ``rngs[i]``, in agent order, and gets
-    exactly the offer ``sample_iso_offer(profiles[i], targets[i], references,
-    rngs[i], configs[i])`` would return. An agent whose target is 1 draws
-    nothing and gets its ideal offer. The agents that draw must share a
-    candidate count, since the kernel stacks their clouds.
+    Every request draws its candidates from its own ``rng``, in request
+    order, and gets exactly the offer ``sample_iso_offer`` would return for
+    it alone. A request whose target is 1 draws nothing and gets its ideal
+    offer. The kernel stacks the clouds of requests with the same candidate
+    and issue counts, so those share one call.
     """
-    offers: list = [None] * len(targets)
-    drawing = []
-    for i, target_u in enumerate(targets):
-        if not 0.0 <= target_u <= 1.0:
+    offers: list = [None] * len(requests)
+    groups: dict[tuple[int, int], list[int]] = {}
+    clouds = {}
+    for i, req in enumerate(requests):
+        if not 0.0 <= req.target <= 1.0:
             raise ValueError("target utility must lie in [0, 1]")
-        if target_u >= 1.0:
-            offers[i] = ideal_offer(profiles[i])
-        else:
-            drawing.append(i)
-    if not drawing:
-        return offers
-    if len({configs[i].candidate_count for i in drawing}) > 1:
-        raise ValueError("agents sampled together must share a candidate count")
-    cands = np.concatenate(
-        [rngs[i].random((configs[i].candidate_count, profiles[i].n_issues)) for i in drawing]
-    )
-    if references:
-        refs = np.ascontiguousarray(np.vstack([np.asarray(r, dtype=np.float64) for r in references]))
-    else:
-        refs = np.empty((0, cands.shape[1]))
-    # one row per drawing agent: offset, target, tolerance
-    scalars = np.array([(profiles[i].offset, targets[i], configs[i].utility_tolerance) for i in drawing])
-    points, _, found = _kernels.choose_iso(
-        cands,
-        np.array([profiles[i].gradient for i in drawing]),
-        scalars[:, 0],
-        scalars[:, 1],
-        scalars[:, 2],
-        PROJECTION_ITERATIONS,
-        refs,
-    )
-    for point, ok, i in zip(points, found, drawing):
-        if ok:
-            # a copy, so that an offer kept in a transcript holds no other agent's
-            offers[i] = point.copy()
-        else:
-            # target effectively unreachable from the sampled cloud; concede nothing
-            logger.debug("no on-target candidate at u=%.6f for %s", targets[i], profiles[i].name)
-            offers[i] = ideal_offer(profiles[i])
+        if req.target >= 1.0:
+            offers[i] = ideal_offer(req.profile)
+            continue
+        shape = (req.config.candidate_count, req.profile.n_issues)
+        groups.setdefault(shape, []).append(i)
+        clouds[i] = req.rng.random(shape)
+    for drawing in groups.values():
+        stacked = [requests[i] for i in drawing]
+        # one row per drawing agent: offset, target, tolerance
+        scalars = np.array([(req.profile.offset, req.target, req.config.utility_tolerance) for req in stacked])
+        points, _, found = _kernels.choose_iso(
+            np.concatenate([clouds[i] for i in drawing]),
+            np.array([req.profile.gradient for req in stacked]),
+            scalars[:, 0],
+            scalars[:, 1],
+            scalars[:, 2],
+            PROJECTION_ITERATIONS,
+            [req.references for req in stacked],
+        )
+        for point, ok, i, req in zip(points, found, drawing, stacked):
+            if ok:
+                # a copy, so that an offer kept in a transcript holds no other agent's
+                offers[i] = point.copy()
+            else:
+                # target effectively unreachable from the sampled cloud; concede nothing
+                logger.debug("no on-target candidate at u=%.6f for %s", req.target, req.profile.name)
+                offers[i] = ideal_offer(req.profile)
     return offers

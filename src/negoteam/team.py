@@ -19,18 +19,21 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
 from .domain import Direction, PreferenceProfile, Scenario, utility_unchecked
 from .opponents import ARCHETYPES, TimeTacticNegotiator, build_opponent
-from .protocol import Action, ActionKind, Party
-from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic, demand, sample_iso_offers
+from .protocol import Action, ActionKind, Decision, Party
+from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, SampleRequest, TimeTactic, demand
 
 logger = logging.getLogger(__name__)
 
 STRATEGY_NAMES = ("RE", "SSV", "SBV", "FUM")
+
+# a team's proposal, asked for as a Decision asks, returning the offer
+Proposal = Generator[list[SampleRequest], list[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +230,30 @@ class TeamParty(Party):
             refs.append(self.last_team_offer)
         return refs
 
-    def member_proposals(self, t: float) -> list[np.ndarray]:
-        """Every member's candidate offer at its demand, from one stacked kernel call."""
-        return sample_iso_offers(
-            [m.profile for m in self.members],
-            [m.demand(t) for m in self.members],
-            self.member_references(),
-            self.member_rngs,
-            [m.sampler for m in self.members],
-        )
+    def member_requests(self, t: float) -> list[SampleRequest]:
+        """Every member's ask for a candidate offer at its demand, near the same references."""
+        refs = self.member_references()
+        return [
+            SampleRequest(m.profile, m.demand(t), refs, rng, m.sampler)
+            for m, rng in zip(self.members, self.member_rngs)
+        ]
 
     def accept_votes(self, offer: np.ndarray, t: float) -> list[bool]:
         return [m.utility(offer) >= m.demand(t) for m in self.members]
 
-    def choose_action(self, t: float) -> Action:
+    def decide(self, t: float) -> Decision:
         standing = self.last_opponent_offer
         if standing is not None and self._accepts(standing, t):
             return Action.accept()
-        offer = self._propose(t)
+        offer = yield from self._propose(t)
         self.last_team_offer = offer
         return Action.propose(offer)
 
     def _accepts(self, offer: np.ndarray, t: float) -> bool:
         raise NotImplementedError
 
-    def _propose(self, t: float) -> np.ndarray:
+    def _propose(self, t: float) -> Proposal:
+        """The team's proposal at t, asked for as :meth:`decide` asks."""
         raise NotImplementedError
 
 
@@ -267,8 +269,8 @@ class SimilarityVotingTeam(TeamParty):
     def _accepts(self, offer: np.ndarray, t: float) -> bool:
         return majority_accepts(self.accept_votes(offer, t))
 
-    def _propose(self, t: float) -> np.ndarray:
-        proposals = self.member_proposals(t)
+    def _propose(self, t: float) -> Proposal:
+        proposals = yield self.member_requests(t)
         n = len(proposals)
         marks = np.empty((n, n), dtype=bool)
         for v, member in enumerate(self.members):
@@ -286,8 +288,8 @@ class BordaVotingTeam(TeamParty):
     def _accepts(self, offer: np.ndarray, t: float) -> bool:
         return unanimity_accepts(self.accept_votes(offer, t))
 
-    def _propose(self, t: float) -> np.ndarray:
-        proposals = self.member_proposals(t)
+    def _propose(self, t: float) -> Proposal:
+        proposals = yield self.member_requests(t)
         utilities = np.array([[m.utility(p) for p in proposals] for m in self.members])
         return proposals[borda_winner(utilities)]
 
@@ -322,10 +324,11 @@ class UnanimityBuildTeam(TeamParty):
     def _accepts(self, offer: np.ndarray, t: float) -> bool:
         return unanimity_accepts(self.accept_votes(offer, t))
 
-    def _propose(self, t: float) -> np.ndarray:
+    def _propose(self, t: float) -> Proposal:
         agenda = infer_agenda(self.opponent_offers, self._signs, self.agenda_observation_rounds)
         demands = np.array([m.demand(t) for m in self.members])
         return build_unanimity_offer(self._weights, self._signs, demands, agenda)
+        yield  # the offer is built, not sampled: a generator that asks for nothing
 
 
 class RepresentativeTeam(TeamParty):
@@ -388,8 +391,8 @@ class RepresentativeTeam(TeamParty):
         super().receive_offer(offer, t)
         self._inner.receive_offer(offer, t)
 
-    def choose_action(self, t: float) -> Action:
-        action = self._inner.choose_action(t)
+    def decide(self, t: float) -> Decision:
+        action = yield from self._inner.decide(t)
         if action.kind is ActionKind.PROPOSE:
             self.last_team_offer = action.offer
         return action
@@ -452,6 +455,11 @@ class TeamConfig:
         if self.representative_behavior == "time_tactic" and self.representative_params:
             # a time-tactic representative runs its own member tactic
             raise ValueError(f"team {self.name!r}: representative_params need an archetype behavior")
+        if self.agenda_observation_rounds < 1:
+            raise ValueError(
+                f"team {self.name!r}: agenda_observation_rounds must be positive, "
+                f"got {self.agenda_observation_rounds!r}"
+            )
         _check_beta_range(self.beta_range, f"team {self.name!r}")
         for i, spec in enumerate(self.members or ()):
             owner = f"team {self.name!r} member {i}"
@@ -460,20 +468,25 @@ class TeamConfig:
             _check_beta_range(spec.beta_range, owner)
 
 
+def member_specs(config: TeamConfig, scenario: Scenario) -> list[MemberSpec]:
+    """The team's member specs, one per team profile of ``scenario``."""
+    if config.members is None:
+        return [MemberSpec() for _ in scenario.team_profiles]
+    if len(config.members) != len(scenario.team_profiles):
+        raise ValueError(
+            f"team {config.name!r} declares {len(config.members)} members for "
+            f"{len(scenario.team_profiles)} team profiles"
+        )
+    return config.members
+
+
 def resolve_members(
     config: TeamConfig,
     scenario: Scenario,
     rng: np.random.Generator,
 ) -> list[TeamMember]:
     """Fix each member's tactic for one session, drawing betas where ranged."""
-    specs = config.members
-    if specs is None:
-        specs = [MemberSpec() for _ in scenario.team_profiles]
-    if len(specs) != len(scenario.team_profiles):
-        raise ValueError(
-            f"{config.name!r} declares {len(specs)} members for "
-            f"{len(scenario.team_profiles)} team profiles"
-        )
+    specs = member_specs(config, scenario)
     members = []
     for profile, spec in zip(scenario.team_profiles, specs):
         if spec.beta is not None:

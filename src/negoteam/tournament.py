@@ -9,7 +9,9 @@ in the averages.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,18 +21,23 @@ import numpy as np
 
 from .domain import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .opponents import build_opponent
-from .protocol import Outcome, SessionConfig, Transcript, run_session
+from .protocol import Outcome, Party, SessionConfig, Transcript, run_sessions
 from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic
 from .team import (
     TeamConfig,
     TeamMember,
     make_team_party,
+    member_specs,
     resolve_members,
     team_config_from_dict,
     team_config_to_dict,
 )
 
 DEFAULT_MASTER_SEED = 12345
+
+# the most consecutive cells a tournament plays in lockstep: enough sessions
+# to fill the kernel's stacks, few enough to spread the work over the CPUs
+CHUNK_CELLS = 10
 
 
 def derive_seed(*parts: object) -> int:
@@ -59,6 +66,8 @@ class TournamentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be positive, got {self.max_rounds!r}")
         names = [t.name for t in self.teams] + [o.name for o in self.opponents]
         if len(set(names)) != len(names):
             raise ValueError("team and opponent names must be unique")
@@ -79,6 +88,7 @@ class TournamentConfig:
             if mine != theirs
         ]
         for team in self.teams:
+            member_specs(team, self.scenario)
             if team.strategy == "FUM" and misaligned:
                 name, issue = misaligned[0]
                 raise ValueError(
@@ -149,15 +159,15 @@ def _session_meta(
     }
 
 
-def run_pairing_session(
+def _pairing_session(
     scenario: Scenario,
     team_cfg: TeamConfig,
     opp_cfg: OpponentConfig,
     repetition: int,
     master_seed: int,
     max_rounds: int,
-) -> tuple[SessionRecord, Transcript]:
-    """Play one (team, opponent, repetition) cell of the tournament."""
+) -> tuple[Party, Party, SessionConfig, dict]:
+    """The parties, config and metadata of one (team, opponent, repetition) cell."""
     session_seed = derive_seed(master_seed, team_cfg.name, opp_cfg.name, repetition)
     beta_rng = np.random.default_rng(derive_seed(session_seed, "betas"))
     members = resolve_members(team_cfg, scenario, beta_rng)
@@ -174,9 +184,38 @@ def run_pairing_session(
     meta = _session_meta(
         scenario, team_cfg, members, opp_cfg, session_seed, repetition, max_rounds, initiator, master_seed
     )
-    transcript, outcome = run_session(team_party, opponent_party, config, meta)
-    record = _record_from_outcome(scenario, team_cfg, opp_cfg, repetition, session_seed, initiator, outcome)
-    return record, transcript
+    return team_party, opponent_party, config, meta
+
+
+def _play_cells(
+    cells: Sequence[tuple], keep_transcripts: bool = True
+) -> list[tuple[SessionRecord, Transcript | None]]:
+    """Play packed cells in lockstep, one session each; results in cell order.
+
+    Without ``keep_transcripts`` each transcript is dropped as its record is
+    made, so that a worker does not send it back.
+    """
+    played = run_sessions([_pairing_session(*cell) for cell in cells])
+    results = []
+    for (scenario, team_cfg, opp_cfg, repetition, _, _), (transcript, outcome) in zip(cells, played):
+        session = transcript.config["session"]
+        record = _record_from_outcome(
+            scenario, team_cfg, opp_cfg, repetition, session["seed"], session["initiator"], outcome
+        )
+        results.append((record, transcript if keep_transcripts else None))
+    return results
+
+
+def run_pairing_session(
+    scenario: Scenario,
+    team_cfg: TeamConfig,
+    opp_cfg: OpponentConfig,
+    repetition: int,
+    master_seed: int,
+    max_rounds: int,
+) -> tuple[SessionRecord, Transcript]:
+    """Play one (team, opponent, repetition) cell of the tournament."""
+    return _play_cells([(scenario, team_cfg, opp_cfg, repetition, master_seed, max_rounds)])[0]
 
 
 def rebuild_session(meta: dict):
@@ -240,16 +279,17 @@ def _record_from_outcome(
     )
 
 
-def _play_cell(cell: tuple) -> tuple[SessionRecord, Transcript]:
-    """``run_pairing_session`` on one packed cell, for ``map`` in a worker."""
-    return run_pairing_session(*cell)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _chunk_cells(cells: list, cpus: int) -> list[list]:
+    """Cut ``cells`` into consecutive chunks of ``CHUNK_CELLS``, smaller where a CPU would get none."""
+    size = max(1, min(CHUNK_CELLS, math.ceil(len(cells) / cpus)))
+    return [cells[i : i + size] for i in range(0, len(cells), size)]
 
 
 def run_tournament(
@@ -258,10 +298,13 @@ def run_tournament(
 ) -> list[SessionRecord]:
     """Run every (team, opponent, repetition) session, in canonical order.
 
-    Sessions are played on every CPU this process may use, one worker
-    process each; with one CPU they run in this process. Results come back
-    in canonical order, so records and handler calls do not depend on the
-    CPU count.
+    The canonical list of cells is cut into chunks of consecutive cells, and
+    each chunk's sessions are played in lockstep, so that they share their
+    kernel calls. A chunk holds ``CHUNK_CELLS`` cells, or fewer where that
+    would leave a CPU idle. Chunks are played on every CPU this process may
+    use, one worker process each; with one CPU or one chunk they run in this
+    process. Results come back in canonical order, so records and handler
+    calls depend neither on the CPU count nor on the chunking.
     """
     cells = [
         (config.scenario, team_cfg, opp_cfg, repetition, config.master_seed, config.max_rounds)
@@ -269,20 +312,24 @@ def run_tournament(
         for opp_cfg in config.opponents
         for repetition in range(config.repetitions)
     ]
-    workers = min(_usable_cpus(), len(cells))
+    cpus = _usable_cpus()
+    chunks = _chunk_cells(cells, cpus)
+    play = functools.partial(_play_cells, keep_transcripts=transcript_handler is not None)
+    workers = min(cpus, len(chunks))
     records = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
             # cancel what has not started if the handler or a session raises
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_play_cell, cells)
+            results = pool.map(play, chunks)
         else:
-            results = map(_play_cell, cells)
-        for record, transcript in results:
-            records.append(record)
-            if transcript_handler is not None:
-                transcript_handler(record, transcript)
+            results = map(play, chunks)
+        for chunk in results:
+            for record, transcript in chunk:
+                records.append(record)
+                if transcript_handler is not None:
+                    transcript_handler(record, transcript)
     return records
 
 

@@ -21,6 +21,7 @@ from negoteam.team import TeamConfig, borda_scores, borda_winner, plurality_winn
 from negoteam.tournament import (
     DEFAULT_MASTER_SEED,
     OpponentConfig,
+    TournamentConfig,
     desk_config,
     rebuild_session,
     run_pairing_session,
@@ -42,15 +43,22 @@ UNANIMITY_TEAMS = ["FUM B", "FUM VB"]
 
 
 def run_cells(team_names, opponent_name, reps=COMPARISON_REPS, max_rounds=FULL_ROUNDS):
-    opp = DESK_OPPONENTS[opponent_name]
-    out = {}
-    for name in team_names:
-        out[name] = [
-            run_pairing_session(
-                SCENARIO, DESK_TEAMS[name], opp, rep, DEFAULT_MASTER_SEED, max_rounds
-            )[0]
-            for rep in range(reps)
-        ]
+    """Each team's records against one desk opponent, played as a tournament.
+
+    Every session derives its seed from the master seed and its own cell, so
+    these are the records one ``run_pairing_session`` per cell gives.
+    """
+    config = TournamentConfig(
+        scenario=SCENARIO,
+        teams=[DESK_TEAMS[name] for name in team_names],
+        opponents=[DESK_OPPONENTS[opponent_name]],
+        repetitions=reps,
+        max_rounds=max_rounds,
+        master_seed=DEFAULT_MASTER_SEED,
+    )
+    out = {name: [] for name in team_names}
+    for record in run_tournament(config):
+        out[record.team].append(record)
     return out
 
 

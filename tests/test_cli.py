@@ -59,6 +59,19 @@ def test_run_can_skip_transcripts_and_override_reps(tmp_path):
     assert len((out_dir / "sessions.csv").read_text(encoding="utf-8").splitlines()) == 1 + 4
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--reps", "repetitions must be positive"), ("--max-rounds", "max_rounds must be positive")],
+)
+def test_run_rejects_an_override_below_one_before_playing(tmp_path, capsys, flag, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(MINI_CONFIG), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir), flag, "0"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "sessions.csv").exists()
+
+
 def test_report_renders_from_a_finished_run(mini_run, capsys):
     assert main(["report", "--in", str(mini_run), "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from negoteam.domain import (
     hotel_booking,
     ideal_offer,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     utility,
@@ -106,7 +106,7 @@ def test_scenario_roundtrip_through_dict(scenario):
 
 def test_scenario_roundtrip_through_file(tmp_path, scenario):
     path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
+    path.write_text(json.dumps(scenario_to_dict(scenario)), encoding="utf-8")
     back = load_scenario(path)
     assert back.name == scenario.name
     assert np.array_equal(back.opponent_profile.weights, scenario.opponent_profile.weights)

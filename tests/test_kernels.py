@@ -148,7 +148,7 @@ def test_choose_iso_composes_projection_and_selection(rng):
     refs = rng.random((2, 4))
     for use_refs in (False, True):
         r = refs if use_refs else np.empty((0, 4))
-        point, u, found = _kernels.choose_iso(cands, grads, offsets, targets, [1e-6] * 2, 10, r)
+        point, u, found = _kernels.choose_iso(cands, grads, offsets, targets, [1e-6] * 2, 10, [r, r])
         pts, utils, valid = _kernels.project_iso(cands, grads, offsets, targets, [1e-6] * 2, 10)
         for j in range(2):
             idx = np.flatnonzero(valid[j])
@@ -166,7 +166,9 @@ def test_choose_iso_reports_missing_target(rng):
     cands = rng.random((10, 3))
     grads = np.array([[0.4, 0.35, 0.25], [0.4, 0.35, 0.25]])
     no_refs = np.empty((0, 3))
-    point, u, found = _kernels.choose_iso(cands, grads, [0.0, 0.0], [0.5, 0.5], [1.0, 1e-300], 0, no_refs)
+    point, u, found = _kernels.choose_iso(
+        cands, grads, [0.0, 0.0], [0.5, 0.5], [1.0, 1e-300], 0, [no_refs, no_refs]
+    )
     assert found.tolist() == [True, False]
     assert u[1] == 0.0
     assert np.array_equal(point[1], np.zeros(3))
@@ -203,7 +205,8 @@ def test_stacked_kernel_is_bit_identical_to_one_call_per_agent(problem):
     cands, grads, offsets, targets, tols, max_iter, refs = problem
     m = cands.shape[0] // grads.shape[0]
     pts, utils, valid = _kernels.project_iso(cands, grads, offsets, targets, tols, max_iter)
-    point, u, found = _kernels.choose_iso(cands, grads, offsets, targets, tols, max_iter, refs)
+    per_agent = [refs] * len(targets)
+    point, u, found = _kernels.choose_iso(cands, grads, offsets, targets, tols, max_iter, per_agent)
     for j in range(grads.shape[0]):
         block = cands[j * m : (j + 1) * m]
         o_pts, o_utils, o_valid = oracle_project(block, grads[j], offsets[j], targets[j], tols[j], max_iter)
@@ -212,6 +215,41 @@ def test_stacked_kernel_is_bit_identical_to_one_call_per_agent(problem):
         assert np.array_equal(valid[j], o_valid)
         o_point, o_u, o_found = oracle_choose(
             block, grads[j], offsets[j], targets[j], tols[j], max_iter, refs
+        )
+        assert np.array_equal(point[j], o_point)
+        assert u[j] == o_u
+        assert found[j] == o_found
+
+
+@st.composite
+def per_agent_reference_problems(draw):
+    n_agents = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([1, 2, 7, 60]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cands, grads, offsets = random_stack(rng, n_agents, m, n)
+    targets = draw(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.9, 1.0)), min_size=n_agents, max_size=n_agents)
+    )
+    tols = draw(st.lists(st.sampled_from([1e-12, 1e-6, 1e-3]), min_size=n_agents, max_size=n_agents))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n_agents, max_size=n_agents))
+    refs = [rng.random((count, n)) for count in counts]
+    max_iter = draw(st.sampled_from([0, 1, 3, 10]))
+    return cands, grads, offsets, targets, tols, max_iter, refs
+
+
+@given(problem=per_agent_reference_problems())
+@settings(max_examples=300, deadline=None)
+def test_per_agent_references_are_bit_identical_to_one_call_per_agent(problem):
+    # every agent brings its own 0-3 reference rows; agents with the same
+    # count are scored together, yet each result is the lone agent's
+    cands, grads, offsets, targets, tols, max_iter, refs = problem
+    m = cands.shape[0] // grads.shape[0]
+    point, u, found = _kernels.choose_iso(cands, grads, offsets, targets, tols, max_iter, refs)
+    for j in range(grads.shape[0]):
+        block = cands[j * m : (j + 1) * m]
+        o_point, o_u, o_found = oracle_choose(
+            block, grads[j], offsets[j], targets[j], tols[j], max_iter, refs[j]
         )
         assert np.array_equal(point[j], o_point)
         assert u[j] == o_u

@@ -12,6 +12,7 @@ from negoteam.protocol import (
     SessionConfig,
     load_transcript,
     run_session,
+    run_sessions,
     save_transcript,
     score,
     transcript_from_dict,
@@ -36,8 +37,9 @@ class Scripted(Party):
     def receive_offer(self, offer, t):
         self.received.append((t, offer.copy()))
 
-    def choose_action(self, t):
+    def decide(self, t):
         return next(self._actions)
+        yield  # asks for no offers
 
 
 def scripted_pair(scenario, team_actions, opp_actions):
@@ -194,3 +196,30 @@ def test_unfinished_transcript_refuses_to_serialize(scenario):
 
     with pytest.raises(ValueError):
         transcript_to_dict(Transcript(config={}))
+
+
+def test_lockstep_sessions_match_each_session_alone(scenario):
+    # sessions of different lengths and endings, played together and alone
+    x, y = np.full(4, 0.5), np.full(4, 0.25)
+
+    def pairs():
+        return [
+            scripted_pair(scenario, [Action.propose(x)] * 4, [Action.propose(y)] * 4),
+            scripted_pair(scenario, [Action.propose(x), Action.accept()], [Action.propose(y)] * 2),
+            scripted_pair(scenario, [Action.end()], []),
+        ]
+
+    configs = [
+        SessionConfig(max_rounds=4),
+        SessionConfig(max_rounds=9, initiator="opponent"),
+        SessionConfig(),
+    ]
+    together = run_sessions(
+        [(team, opp, cfg, {"i": i}) for i, ((team, opp), cfg) in enumerate(zip(pairs(), configs))]
+    )
+    assert [o.reason for _, o in together] == ["deadline", "accepted", "ended"]
+    for i, ((team, opp), cfg) in enumerate(zip(pairs(), configs)):
+        transcript, outcome = run_session(team, opp, cfg, {"i": i})
+        assert transcripts_equal(transcript, together[i][0])
+        assert transcript.config == together[i][0].config == {"i": i}
+        assert outcome.utilities == together[i][1].utilities

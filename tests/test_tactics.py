@@ -10,6 +10,7 @@ from negoteam.domain import PreferenceProfile, ideal_offer, utility
 from negoteam.tactics import (
     DEFAULT_SAMPLER,
     IsoSamplerConfig,
+    SampleRequest,
     TimeTactic,
     demand,
     sample_iso_offer,
@@ -157,16 +158,26 @@ def test_sample_on_target_property(target, seed):
     assert abs(u - target) <= 1e-6 or np.array_equal(offer, ideal_offer(profile))
 
 
-def test_stacked_sampling_needs_one_candidate_count(scenario, rng):
-    profiles = scenario.team_profiles[:2]
+def test_stacked_sampling_mixes_candidate_counts_and_references(scenario):
+    # requests with different candidate counts and reference sets share a
+    # call, and each gets exactly what it would get alone
+    profiles = scenario.team_profiles
+    refs = [(), [np.full(4, 0.3)], [np.full(4, 0.3), np.full(4, 0.8)]]
     configs = [IsoSamplerConfig(candidate_count=10), IsoSamplerConfig(candidate_count=20)]
+    requests = [
+        SampleRequest(profiles[i % 3], target, refs[i % 3], np.random.default_rng(i), configs[i % 2])
+        for i, target in enumerate([0.5, 0.7, 1.0, 0.2, 0.9, 0.6])
+    ]
+    offers = sample_iso_offers(requests)
+    for i, req in enumerate(requests):
+        rng = np.random.default_rng(i)
+        alone = sample_iso_offer(req.profile, req.target, list(req.references), rng, req.config)
+        assert np.array_equal(offers[i], alone)
+    # an agent at target 1 draws nothing
+    assert np.array_equal(offers[2], ideal_offer(profiles[2]))
+    assert requests[2].rng.random() == np.random.default_rng(2).random()
     with pytest.raises(ValueError):
-        sample_iso_offers(profiles, [0.5, 0.5], None, [rng, rng], configs)
-    # an agent at target 1 draws nothing, so its count does not matter
-    offers = sample_iso_offers(profiles, [0.5, 1.0], None, [rng, rng], configs)
-    assert np.array_equal(offers[1], ideal_offer(profiles[1]))
-    with pytest.raises(ValueError):
-        sample_iso_offers(profiles, [0.5, 1.5], None, [rng, rng], configs[:1] * 2)
+        sample_iso_offers([req._replace(target=1.5) for req in requests[:2]])
 
 
 # --- candidate selection (runs in _kernels.choose_iso) ---
@@ -177,7 +188,7 @@ def test_select_candidate_skips_invalid():
     grad = np.array([[0.5, -0.5]])
     cands = np.array([[0.2, 0.2], [0.6, 0.5], [0.9, 0.9]])  # utilities 0.5, 0.55, 0.5
     refs = np.array([[0.6, 0.55]])
-    point, _, found = _kernels.choose_iso(cands, grad, [0.5], [0.5], [1e-9], 0, refs)
+    point, _, found = _kernels.choose_iso(cands, grad, [0.5], [0.5], [1e-9], 0, [refs])
     # the off-target middle candidate is nearest the reference but never wins
     assert found[0] and np.array_equal(point[0], cands[2])
 
@@ -186,5 +197,5 @@ def test_select_candidate_tie_goes_to_lowest_index():
     # equal utilities and no references: the lowest index wins
     cands = np.array([[0.4, 0.6], [0.6, 0.4]])
     grad = np.array([[0.5, 0.5]])
-    point, u, found = _kernels.choose_iso(cands, grad, [0.0], [0.5], [0.1], 0, np.empty((0, 2)))
+    point, u, found = _kernels.choose_iso(cands, grad, [0.0], [0.5], [0.1], 0, [np.empty((0, 2))])
     assert found[0] and u[0] == 0.5 and np.array_equal(point[0], cands[0])

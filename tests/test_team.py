@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from negoteam.domain import PreferenceProfile
 from negoteam.opponents import TimeTacticNegotiator
 from negoteam.protocol import ActionKind, SessionConfig, run_session, transcripts_equal
-from negoteam.tactics import TimeTactic, sample_iso_offer
+from negoteam.tactics import TimeTactic, sample_iso_offer, sample_iso_offers
 from negoteam.team import (
     STRATEGIES,
     BordaVotingTeam,
@@ -312,7 +312,7 @@ def test_member_proposals_equal_one_sampler_call_per_member(scenario, cls):
     team = cls(members, seed=11)
     _, clones = derive_team_streams(11, len(members))
     for t in (0.0, 0.2, 0.6, 0.95):
-        got = team.member_proposals(t)
+        got = sample_iso_offers(team.member_requests(t))
         refs = team.member_references()
         want = [
             sample_iso_offer(m.profile, m.demand(t), refs, rng, m.sampler)

@@ -1,10 +1,12 @@
 """Seed derivation, session reproducibility and the tournament harness."""
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from negoteam import tournament
 from negoteam.domain import hotel_booking
 from negoteam.protocol import run_session, transcripts_equal
 from negoteam.report import sessions_to_csv
@@ -118,12 +120,25 @@ def test_run_tournament_covers_the_grid_in_order(monkeypatch):
         max_rounds=30,
         master_seed=1,
     )
-    # a session that raises stops the run the same way on any CPU count
+    # a session that raises stops the run the same way on any CPU count; the
+    # bad team is swapped in after loading, which would have rejected it
     short = TeamConfig(name="short", strategy="SSV", members=[MemberSpec(beta=1.0)])
     failing = TournamentConfig(
-        scenario=config.scenario, teams=[short], opponents=config.opponents, repetitions=2
+        scenario=config.scenario, teams=[tiny_team()], opponents=config.opponents, repetitions=2
     )
-    # one CPU plays in this process, two through a pool of two workers
+    failing.teams = [short]
+    # one CPU plays in this process, two through a pool of two workers; chunks
+    # of two cells give each run several chunks to hand to the pool
+    handed = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            handed.append(len(chunks))
+            return super().map(fn, chunks)
+
+    monkeypatch.setattr(tournament, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(tournament, "CHUNK_CELLS", 2)
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
@@ -133,6 +148,8 @@ def test_run_tournament_covers_the_grid_in_order(monkeypatch):
         runs[cpus] = records, seen
         with pytest.raises(ValueError, match="'short' declares 1 members for 3 team profiles"):
             run_tournament(failing)
+    # only the two-CPU runs use the pool: the grid's 8 cells and the failing 4
+    assert handed == [4, 2]
     records, seen = runs[2]
     assert len(records) == 2 * 2 * 2
     assert [(r.team, r.opponent, r.repetition) for r in records] == [
@@ -150,6 +167,51 @@ def test_run_tournament_covers_the_grid_in_order(monkeypatch):
         config.scenario, config.teams[1], config.opponents[0], 1, 1, max_rounds=30
     )
     assert records[5] == solo
+
+
+def test_chunks_are_capped_and_spread_over_the_cpus():
+    def sizes(n_cells, cpus):
+        return [len(chunk) for chunk in tournament._chunk_cells(list(range(n_cells)), cpus)]
+
+    assert tournament.CHUNK_CELLS == 10
+    assert sizes(350, 2) == [10] * 35
+    assert sizes(70, 4) == [10] * 7
+    assert sizes(8, 2) == [4, 4]
+    assert sizes(13, 2) == [7, 6]
+    assert sizes(13, 1) == [10, 3]
+    assert sizes(3, 8) == [1, 1, 1]
+    assert sizes(0, 2) == []
+
+
+def test_lockstep_chunks_match_sessions_played_one_at_a_time(monkeypatch):
+    # every strategy against every desk opponent, both initiators, in chunks
+    # whose sessions end at different rounds
+    desk = desk_config()
+    teams = [t for t in desk.teams if t.name in ("FUM B", "RE K", "SSV VB", "SBV B")]
+    teams.append(TeamConfig(name="RE T", strategy="RE", beta_range=(0.5, 0.99)))
+    config = TournamentConfig(
+        scenario=desk.scenario,
+        teams=teams,
+        opponents=desk.opponents,
+        repetitions=2,
+        max_rounds=80,
+        master_seed=5,
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+    records = run_tournament(config, transcript_handler=lambda r, t: seen.append(t))
+    assert len(records) == 5 * 5 * 2 > tournament.CHUNK_CELLS
+    assert {r.initiator for r in records} == {"team", "opponent"}
+    assert len({r.rounds_used for r in records}) > 5
+    for record, transcript in zip(records, seen, strict=True):
+        team = next(t for t in teams if t.name == record.team)
+        opp = next(o for o in desk.opponents if o.name == record.opponent)
+        alone, alone_transcript = run_pairing_session(
+            config.scenario, team, opp, record.repetition, config.master_seed, config.max_rounds
+        )
+        assert record == alone
+        assert transcripts_equal(transcript, alone_transcript)
+        assert transcript.config == alone_transcript.config
 
 
 def test_aggregate_keeps_failures_in_the_means():
@@ -310,4 +372,25 @@ def test_load_rejects_non_finite_haggler_parameters(key, value):
     doc = desk_doc()
     doc["opponents"][1]["params"] = {key: value}
     with pytest.raises(ValueError, match="opponent 'Haggler': .*finite"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_a_member_list_that_does_not_match_the_team_profiles():
+    doc = desk_doc()
+    doc["teams"][3]["members"] = [{"beta": 1.0}]
+    with pytest.raises(ValueError, match="team 'SSV B' declares 1 members for 3 team profiles"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_max_rounds_below_one():
+    doc = desk_doc()
+    doc["tournament"]["max_rounds"] = 0
+    with pytest.raises(ValueError, match="max_rounds must be positive"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_agenda_observation_rounds_below_one():
+    doc = desk_doc()
+    doc["teams"][0]["agenda_observation_rounds"] = 0
+    with pytest.raises(ValueError, match="'FUM B': agenda_observation_rounds must be positive"):
         tournament_config_from_dict(doc)
