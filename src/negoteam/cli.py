@@ -14,7 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .protocol import load_transcript, run_session, save_transcript, transcripts_equal
+from .protocol import load_transcript, run_session, transcripts_equal
 from .report import read_sessions_csv, render_markdown, render_report, build_report, write_sessions_csv
 from .tournament import (
     desk_config,
@@ -24,10 +24,6 @@ from .tournament import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _slug(text: str) -> str:
-    return "".join(c if c.isalnum() else "-" for c in text.lower()).strip("-")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -45,15 +41,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     out_dir = Path(args.out)
-    transcripts_dir = out_dir / "transcripts"
-    transcripts_dir.mkdir(parents=True, exist_ok=True)
-
-    def keep_transcript(record, transcript):
-        name = f"{_slug(record.team)}__{_slug(record.opponent)}__{record.repetition:03d}.json"
-        save_transcript(transcript, transcripts_dir / name)
-
-    handler = None if args.no_transcripts else keep_transcript
-    records = run_tournament(config, transcript_handler=handler)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = run_tournament(config, transcripts_dir=None if args.no_transcripts else out_dir / "transcripts")
 
     write_sessions_csv(records, out_dir / "sessions.csv")
     (out_dir / "report.md").write_text(render_markdown(build_report(records)), encoding="utf-8")

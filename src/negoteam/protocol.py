@@ -355,9 +355,14 @@ def transcript_from_dict(doc: dict) -> Transcript:
 
 
 def save_transcript(transcript: Transcript, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(transcript_to_dict(transcript), fh, indent=2)
-        fh.write("\n")
+    """Write the transcript as one line of compact JSON.
+
+    ``json.dumps`` without indentation runs CPython's C encoder; ``indent``
+    or ``json.dump`` to a file would run the pure-Python one. Indented
+    files load the same.
+    """
+    text = json.dumps(transcript_to_dict(transcript), separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_transcript(path: str | Path) -> Transcript:

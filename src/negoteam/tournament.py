@@ -15,13 +15,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .domain import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .opponents import build_opponent
-from .protocol import Outcome, Party, SessionConfig, Transcript, run_sessions
+from .protocol import Outcome, Party, SessionConfig, Transcript, run_sessions, save_transcript
 from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic
 from .team import (
     TeamConfig,
@@ -38,6 +39,20 @@ DEFAULT_MASTER_SEED = 12345
 # the most consecutive cells a tournament plays in lockstep: enough sessions
 # to fill the kernel's stacks, few enough to spread the work over the CPUs
 CHUNK_CELLS = 10
+
+
+def _slug(text: str) -> str:
+    return "".join(c if c.isalnum() else "-" for c in text.lower()).strip("-")
+
+
+def transcript_name(team: str, opponent: str, repetition: int) -> str:
+    """The file name a run gives a session's transcript: ``team__opponent__NNN.json``.
+
+    Names are lower-cased with every other character than a letter or digit
+    turned into ``-``, so a slug holds no ``__`` and two cells share a file
+    name only where two team or two opponent names share a slug.
+    """
+    return f"{_slug(team)}__{_slug(opponent)}__{repetition:03d}.json"
 
 
 def derive_seed(*parts: object) -> int:
@@ -71,6 +86,15 @@ class TournamentConfig:
         names = [t.name for t in self.teams] + [o.name for o in self.opponents]
         if len(set(names)) != len(names):
             raise ValueError("team and opponent names must be unique")
+        # workers write their cells' transcripts side by side, named by slug
+        for kind, group in (("team", self.teams), ("opponent", self.opponents)):
+            by_slug: dict[str, str] = {}
+            for item in group:
+                other = by_slug.setdefault(_slug(item.name), item.name)
+                if other != item.name:
+                    raise ValueError(
+                        f"{kind} names {other!r} and {item.name!r} give the same transcript file name"
+                    )
         # build every opponent and archetype representative once, untouched,
         # so that a bad archetype, parameter name or value fails on load
         # rather than when its first session runs
@@ -187,14 +211,8 @@ def _pairing_session(
     return team_party, opponent_party, config, meta
 
 
-def _play_cells(
-    cells: Sequence[tuple], keep_transcripts: bool = True
-) -> list[tuple[SessionRecord, Transcript | None]]:
-    """Play packed cells in lockstep, one session each; results in cell order.
-
-    Without ``keep_transcripts`` each transcript is dropped as its record is
-    made, so that a worker does not send it back.
-    """
+def _play_cells(cells: Sequence[tuple]) -> list[tuple[SessionRecord, Transcript]]:
+    """Play packed cells in lockstep, one session each; results in cell order."""
     played = run_sessions([_pairing_session(*cell) for cell in cells])
     results = []
     for (scenario, team_cfg, opp_cfg, repetition, _, _), (transcript, outcome) in zip(cells, played):
@@ -202,8 +220,20 @@ def _play_cells(
         record = _record_from_outcome(
             scenario, team_cfg, opp_cfg, repetition, session["seed"], session["initiator"], outcome
         )
-        results.append((record, transcript if keep_transcripts else None))
+        results.append((record, transcript))
     return results
+
+
+def _play_chunk(cells: Sequence[tuple], transcripts_dir: Path | None) -> list[SessionRecord]:
+    """Play a chunk, write its transcripts into ``transcripts_dir`` if given,
+    and return only the records, which are all a worker sends back."""
+    records = []
+    for record, transcript in _play_cells(cells):
+        if transcripts_dir is not None:
+            name = transcript_name(record.team, record.opponent, record.repetition)
+            save_transcript(transcript, transcripts_dir / name)
+        records.append(record)
+    return records
 
 
 def run_pairing_session(
@@ -293,8 +323,7 @@ def _chunk_cells(cells: list, cpus: int) -> list[list]:
 
 
 def run_tournament(
-    config: TournamentConfig,
-    transcript_handler: Callable[[SessionRecord, Transcript], None] | None = None,
+    config: TournamentConfig, transcripts_dir: str | Path | None = None
 ) -> list[SessionRecord]:
     """Run every (team, opponent, repetition) session, in canonical order.
 
@@ -303,8 +332,12 @@ def run_tournament(
     kernel calls. A chunk holds ``CHUNK_CELLS`` cells, or fewer where that
     would leave a CPU idle. Chunks are played on every CPU this process may
     use, one worker process each; with one CPU or one chunk they run in this
-    process. Results come back in canonical order, so records and handler
-    calls depend neither on the CPU count nor on the chunking.
+    process. Records come back in canonical order, so they depend neither on
+    the CPU count nor on the chunking.
+
+    With ``transcripts_dir``, the process that plays a chunk writes each of
+    its sessions' transcripts there, under :func:`transcript_name`; the
+    directory is created if missing.
     """
     cells = [
         (config.scenario, team_cfg, opp_cfg, repetition, config.master_seed, config.max_rounds)
@@ -312,25 +345,22 @@ def run_tournament(
         for opp_cfg in config.opponents
         for repetition in range(config.repetitions)
     ]
+    if transcripts_dir is not None:
+        transcripts_dir = Path(transcripts_dir)
+        transcripts_dir.mkdir(parents=True, exist_ok=True)
     cpus = _usable_cpus()
     chunks = _chunk_cells(cells, cpus)
-    play = functools.partial(_play_cells, keep_transcripts=transcript_handler is not None)
+    play = functools.partial(_play_chunk, transcripts_dir=transcripts_dir)
     workers = min(cpus, len(chunks))
-    records = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
-            # cancel what has not started if the handler or a session raises
+            # cancel what has not started if a session or a write raises
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(play, chunks)
         else:
             results = map(play, chunks)
-        for chunk in results:
-            for record, transcript in chunk:
-                records.append(record)
-                if transcript_handler is not None:
-                    transcript_handler(record, transcript)
-    return records
+        return [record for chunk in results for record in chunk]
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from negoteam.domain import hotel_booking
-from negoteam.protocol import run_session, transcripts_equal
+from negoteam.protocol import load_transcript, run_session, transcripts_equal
 from negoteam.stats import anova_oneway, holm_adjust
 from negoteam.tactics import TimeTactic, demand
 from negoteam.team import TeamConfig, borda_scores, borda_winner, plurality_winner
@@ -26,6 +26,7 @@ from negoteam.tournament import (
     rebuild_session,
     run_pairing_session,
     run_tournament,
+    transcript_name,
 )
 from negoteam.report import sessions_to_csv
 
@@ -136,7 +137,7 @@ def test_voting_rules_agree_with_brute_force_on_1000_instances():
     assert mismatches == 0
 
 
-def test_unanimity_team_acceptances_clear_every_member_demand():
+def test_unanimity_team_acceptances_clear_every_member_demand(tmp_path):
     teams = [
         TeamConfig(name="FUM acc B", strategy="FUM", beta_range=B_RANGE),
         TeamConfig(name="FUM acc VB", strategy="FUM", beta_range=VB_RANGE),
@@ -154,30 +155,37 @@ def test_unanimity_team_acceptances_clear_every_member_demand():
             "time_tactic",
         )
     ]
+    # every cell is the session run_pairing_session would play alone; the
+    # tournament batches them and writes their transcripts
+    config = TournamentConfig(
+        scenario=SCENARIO,
+        teams=teams,
+        opponents=opponents,
+        repetitions=9,
+        max_rounds=200,
+        master_seed=DEFAULT_MASTER_SEED,
+    )
     sessions = 0
     team_acceptances = 0
-    for team_cfg in teams:
-        for opp_cfg in opponents:
-            for rep in range(9):
-                record, transcript = run_pairing_session(
-                    SCENARIO, team_cfg, opp_cfg, rep, DEFAULT_MASTER_SEED, max_rounds=200
-                )
-                sessions += 1
-                outcome = transcript.outcome
-                if not (outcome.agreement and outcome.accepted_by == "team"):
-                    continue
-                team_acceptances += 1
-                for member in transcript.config["team"]["resolved_members"]:
-                    tactic = TimeTactic(
-                        beta=member["beta"],
-                        reservation_utility=member["reservation_utility"],
-                    )
-                    threshold = demand(tactic, outcome.accepted_at)
-                    achieved = record.member_utilities[member["profile"]]
-                    assert achieved >= threshold - 1e-9, (
-                        f"{team_cfg.name} vs {opp_cfg.name} rep {rep}: member "
-                        f"{member['profile']} got {achieved:.6f}, demanded {threshold:.6f}"
-                    )
+    for record in run_tournament(config, transcripts_dir=tmp_path):
+        rep = record.repetition
+        transcript = load_transcript(tmp_path / transcript_name(record.team, record.opponent, rep))
+        sessions += 1
+        outcome = transcript.outcome
+        if not (outcome.agreement and outcome.accepted_by == "team"):
+            continue
+        team_acceptances += 1
+        for member in transcript.config["team"]["resolved_members"]:
+            tactic = TimeTactic(
+                beta=member["beta"],
+                reservation_utility=member["reservation_utility"],
+            )
+            threshold = demand(tactic, outcome.accepted_at)
+            achieved = record.member_utilities[member["profile"]]
+            assert achieved >= threshold - 1e-9, (
+                f"{record.team} vs {record.opponent} rep {rep}: member "
+                f"{member['profile']} got {achieved:.6f}, demanded {threshold:.6f}"
+            )
     assert sessions >= 200
     assert team_acceptances > 0
 

@@ -99,6 +99,16 @@ def test_replay_verifies_stored_transcripts(mini_run, capsys):
     assert "replay OK" in capsys.readouterr().out
 
 
+def test_replay_accepts_an_indented_transcript(mini_run, capsys):
+    path = mini_run / "transcripts" / "ssv__tft__001.json"
+    assert path.read_text(encoding="utf-8").count("\n") == 1
+    # earlier versions wrote transcripts with indent=2; those runs still replay
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    assert main(["replay", "--transcript", str(path)]) == 0
+    assert "replay OK" in capsys.readouterr().out
+
+
 def test_replay_detects_tampering(mini_run, capsys):
     path = mini_run / "transcripts" / "ssv__smith__001.json"
     doc = json.loads(path.read_text(encoding="utf-8"))

@@ -1,5 +1,7 @@
 """Alternating-offers mechanics, scoring and transcript serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -170,11 +172,20 @@ def test_transcript_roundtrips_through_json(scenario, tmp_path):
     transcript = finished_transcript(scenario)
     path = tmp_path / "session.json"
     save_transcript(transcript, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == transcript_to_dict(transcript)
     back = load_transcript(path)
     assert transcripts_equal(transcript, back)
     assert back.config == {"tag": 1}
     assert back.outcome.utilities == pytest.approx(transcript.outcome.utilities)
     assert back.outcome.accepted_by == "team"
+    # files written indented, as earlier versions did, load the same
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(transcript_to_dict(transcript), indent=2) + "\n", encoding="utf-8")
+    old = load_transcript(indented)
+    assert transcripts_equal(transcript, old)
+    assert transcript_to_dict(old) == transcript_to_dict(back)
 
 
 def test_transcript_dict_roundtrip_is_stable(scenario):

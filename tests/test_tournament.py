@@ -1,5 +1,6 @@
 """Seed derivation, session reproducibility and the tournament harness."""
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -8,7 +9,7 @@ import pytest
 
 from negoteam import tournament
 from negoteam.domain import hotel_booking
-from negoteam.protocol import run_session, transcripts_equal
+from negoteam.protocol import load_transcript, run_session, transcript_to_dict, transcripts_equal
 from negoteam.report import sessions_to_csv
 from negoteam.team import MemberSpec, TeamConfig
 from negoteam.tournament import (
@@ -24,6 +25,7 @@ from negoteam.tournament import (
     run_tournament,
     tournament_config_from_dict,
     tournament_config_to_dict,
+    transcript_name,
 )
 
 
@@ -108,7 +110,7 @@ def test_record_summarises_member_utilities():
     assert set(record.member_utilities) == {p.name for p in scenario.team_profiles}
 
 
-def test_run_tournament_covers_the_grid_in_order(monkeypatch):
+def test_run_tournament_covers_the_grid_in_order(monkeypatch, tmp_path):
     config = TournamentConfig(
         scenario=hotel_booking(),
         teams=[tiny_team(name="one"), tiny_team(strategy="FUM", name="two")],
@@ -142,15 +144,16 @@ def test_run_tournament_covers_the_grid_in_order(monkeypatch):
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-        seen = []
-        records = run_tournament(config, transcript_handler=lambda r, t: seen.append((r, t)))
-        assert [r for r, _ in seen] == records
-        runs[cpus] = records, seen
+        written = tmp_path / f"cpus{cpus}"
+        records = run_tournament(config, transcripts_dir=written)
+        files = {p.name: p.read_bytes() for p in written.iterdir()}
+        assert sorted(files) == sorted(transcript_name(r.team, r.opponent, r.repetition) for r in records)
+        runs[cpus] = records, files
         with pytest.raises(ValueError, match="'short' declares 1 members for 3 team profiles"):
             run_tournament(failing)
     # only the two-CPU runs use the pool: the grid's 8 cells and the failing 4
     assert handed == [4, 2]
-    records, seen = runs[2]
+    records, files = runs[2]
     assert len(records) == 2 * 2 * 2
     assert [(r.team, r.opponent, r.repetition) for r in records] == [
         (t, o, rep)
@@ -158,10 +161,11 @@ def test_run_tournament_covers_the_grid_in_order(monkeypatch):
         for o in ("tft", "smith")
         for rep in (0, 1)
     ]
-    in_process, seen_in_process = runs[1]
+    in_process, files_in_process = runs[1]
     assert records == in_process
     assert sessions_to_csv(records) == sessions_to_csv(in_process)
-    assert all(transcripts_equal(a, b) for (_, a), (_, b) in zip(seen, seen_in_process, strict=True))
+    # the workers wrote the same files, byte for byte, as this process did
+    assert files == files_in_process
     # each cell matches the session run standalone
     solo, _ = run_pairing_session(
         config.scenario, config.teams[1], config.opponents[0], 1, 1, max_rounds=30
@@ -183,7 +187,7 @@ def test_chunks_are_capped_and_spread_over_the_cpus():
     assert sizes(0, 2) == []
 
 
-def test_lockstep_chunks_match_sessions_played_one_at_a_time(monkeypatch):
+def test_lockstep_chunks_match_sessions_played_one_at_a_time(monkeypatch, tmp_path):
     # every strategy against every desk opponent, both initiators, in chunks
     # whose sessions end at different rounds
     desk = desk_config()
@@ -198,20 +202,21 @@ def test_lockstep_chunks_match_sessions_played_one_at_a_time(monkeypatch):
         master_seed=5,
     )
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    seen = []
-    records = run_tournament(config, transcript_handler=lambda r, t: seen.append(t))
+    records = run_tournament(config, transcripts_dir=tmp_path)
     assert len(records) == 5 * 5 * 2 > tournament.CHUNK_CELLS
     assert {r.initiator for r in records} == {"team", "opponent"}
     assert len({r.rounds_used for r in records}) > 5
-    for record, transcript in zip(records, seen, strict=True):
+    for record in records:
         team = next(t for t in teams if t.name == record.team)
         opp = next(o for o in desk.opponents if o.name == record.opponent)
         alone, alone_transcript = run_pairing_session(
             config.scenario, team, opp, record.repetition, config.master_seed, config.max_rounds
         )
         assert record == alone
-        assert transcripts_equal(transcript, alone_transcript)
-        assert transcript.config == alone_transcript.config
+        written = load_transcript(tmp_path / transcript_name(record.team, record.opponent, record.repetition))
+        assert transcripts_equal(written, alone_transcript)
+        # through JSON, as the file went: it turns the metadata's tuples into lists
+        assert transcript_to_dict(written) == json.loads(json.dumps(transcript_to_dict(alone_transcript)))
 
 
 def test_aggregate_keeps_failures_in_the_means():
@@ -380,6 +385,21 @@ def test_load_rejects_a_member_list_that_does_not_match_the_team_profiles():
     doc["teams"][3]["members"] = [{"beta": 1.0}]
     with pytest.raises(ValueError, match="team 'SSV B' declares 1 members for 3 team profiles"):
         tournament_config_from_dict(doc)
+
+
+def test_load_rejects_names_that_give_the_same_transcript_file_name():
+    doc = desk_doc()
+    doc["teams"][4]["name"] = "ssv-b"
+    with pytest.raises(ValueError, match="team names 'SSV B' and 'ssv-b' give the same transcript file name"):
+        tournament_config_from_dict(doc)
+    doc = desk_doc()
+    doc["opponents"][2]["name"] = "crazy!"
+    with pytest.raises(ValueError, match="opponent names 'Crazy' and 'crazy!' give the same transcript"):
+        tournament_config_from_dict(doc)
+    # a team may share a slug with an opponent: the two sit in different parts of the name
+    doc = desk_doc()
+    doc["opponents"][2]["name"] = "fum-b"
+    tournament_config_from_dict(doc)
 
 
 def test_load_rejects_max_rounds_below_one():
