@@ -15,7 +15,6 @@ from .domain import (
     ideal_offer,
     load_scenario,
     utility,
-    valuation,
 )
 from .protocol import (
     Action,

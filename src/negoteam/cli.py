@@ -23,8 +23,6 @@ from .tournament import (
     tournament_config_from_dict,
 )
 
-logger = logging.getLogger(__name__)
-
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
@@ -70,8 +68,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    stored = load_transcript(args.transcript)
-    team_party, opponent_party, config = rebuild_session(stored.config)
+    try:
+        stored = load_transcript(args.transcript)
+        team_party, opponent_party, config = rebuild_session(stored.config)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # exit 1 is kept for a replay that diverges
+        print(f"error: {args.transcript}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     replayed, outcome = run_session(team_party, opponent_party, config, stored.config)
     if not transcripts_equal(stored, replayed):
         print("MISMATCH: replay diverged from the stored transcript", file=sys.stderr)

@@ -7,15 +7,12 @@ whole utility surface is affine and spans exactly [0, 1].
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -25,15 +22,6 @@ class Direction(str, Enum):
 
     INCREASING = "increasing"
     DECREASING = "decreasing"
-
-
-def valuation(direction: Direction | str, value: float) -> float:
-    """Linear per-issue valuation: identity when increasing, 1 - x when decreasing."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"issue value {value!r} outside [0, 1]")
-    if Direction(direction) is Direction.INCREASING:
-        return float(value)
-    return 1.0 - float(value)
 
 
 @dataclass

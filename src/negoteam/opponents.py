@@ -11,9 +11,8 @@ seen, and all thresholds are constructor parameters.
 from __future__ import annotations
 
 import inspect
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -21,8 +20,6 @@ import numpy as np
 from .domain import PreferenceProfile, utility_unchecked
 from .protocol import Action, Decision, Party
 from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, SampleRequest, TimeTactic, demand
-
-logger = logging.getLogger(__name__)
 
 _EPS = 1e-9
 

@@ -15,7 +15,6 @@ step. :func:`run_session` is its one-session case.
 from __future__ import annotations
 
 import json
-import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,8 +25,6 @@ import numpy as np
 
 from .domain import PreferenceProfile, utility
 from .tactics import SampleRequest, sample_iso_offers
-
-logger = logging.getLogger(__name__)
 
 
 class ProtocolViolation(Exception):

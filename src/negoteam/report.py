@@ -10,14 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from pathlib import Path
 from typing import Sequence
 
 from .stats import DEFAULT_ALPHA, anova_oneway, posthoc_best_groups
-from .tournament import PairingAggregate, SessionRecord, aggregate
-
-logger = logging.getLogger(__name__)
+from .tournament import SessionRecord, aggregate
 
 _FIXED_COLUMNS = [
     "team",

@@ -8,15 +8,12 @@ all pairwise comparisons.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.05
 

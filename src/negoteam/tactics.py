@@ -27,20 +27,17 @@ class TimeTactic:
     """Concession curve parameters.
 
     beta < 1 concedes late (boulware), beta == 1 linearly, beta > 1 early
-    (conceder). The deadline is normalised time, fixed at 1.0.
+    (conceder). Time is normalised, so the deadline is t == 1.
     """
 
     beta: float
     reservation_utility: float = 0.0
-    deadline: float = 1.0
 
     def __post_init__(self) -> None:
         if self.beta <= 0.0:
             raise ValueError("beta must be positive")
         if not 0.0 <= self.reservation_utility <= 1.0:
             raise ValueError("reservation utility must lie in [0, 1]")
-        if self.deadline != 1.0:
-            raise ValueError("the deadline is normalised and fixed at 1.0")
 
 
 def demand(tactic: TimeTactic, t: float) -> float:
@@ -50,11 +47,10 @@ def demand(tactic: TimeTactic, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"normalised time {t!r} outside [0, 1]")
-    if t == tactic.deadline:
+    if t == 1.0:
         # the closed form lands here up to round-off; pin the endpoint
         return tactic.reservation_utility
-    ratio = t / tactic.deadline
-    return 1.0 - (1.0 - tactic.reservation_utility) * ratio ** (1.0 / tactic.beta)
+    return 1.0 - (1.0 - tactic.reservation_utility) * t ** (1.0 / tactic.beta)
 
 
 @dataclass(frozen=True)

@@ -16,21 +16,16 @@ against brute-force oracles; every tie breaks toward the lowest index.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Direction, PreferenceProfile, Scenario, utility_unchecked
+from .domain import PreferenceProfile, Scenario, utility_unchecked
 from .opponents import ARCHETYPES, TimeTacticNegotiator, build_opponent
 from .protocol import Action, ActionKind, Decision, Party
 from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, SampleRequest, TimeTactic, demand
-
-logger = logging.getLogger(__name__)
-
-STRATEGY_NAMES = ("RE", "SSV", "SBV", "FUM")
 
 # a team's proposal, asked for as a Decision asks, returning the offer
 Proposal = Generator[list[SampleRequest], list[np.ndarray], np.ndarray]

@@ -3,8 +3,10 @@
 Every session derives its own seed by stable hashing of the master seed with
 the pairing names and the repetition index, so runs are independent of
 execution order and identical across processes. Repetition parity decides
-who opens (even: the team). Failed sessions score zero for everyone and stay
-in the averages.
+who opens (even: the team). A run writes each session's metadata first and
+builds the session from it with :func:`rebuild_session`, the function a
+replay uses. Failed sessions score zero for everyone and stay in the
+averages.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from .domain import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
 from .opponents import build_opponent
 from .protocol import Outcome, Party, SessionConfig, Transcript, run_sessions, save_transcript
-from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, TimeTactic
+from .tactics import TimeTactic
 from .team import (
     TeamConfig,
     TeamMember,
@@ -152,14 +154,19 @@ class SessionRecord:
 def _session_meta(
     scenario: Scenario,
     team_cfg: TeamConfig,
-    members: Sequence[TeamMember],
     opp_cfg: OpponentConfig,
-    session_seed: int,
     repetition: int,
-    max_rounds: int,
-    initiator: str,
     master_seed: int,
+    max_rounds: int,
 ) -> dict:
+    """The metadata of one (team, opponent, repetition) cell.
+
+    It holds everything :func:`rebuild_session` needs to build the session,
+    the member betas included: they are drawn here and nowhere else.
+    """
+    session_seed = derive_seed(master_seed, team_cfg.name, opp_cfg.name, repetition)
+    beta_rng = np.random.default_rng(derive_seed(session_seed, "betas"))
+    members = resolve_members(team_cfg, scenario, beta_rng)
     team_doc = team_config_to_dict(team_cfg)
     team_doc["resolved_members"] = [
         {
@@ -177,51 +184,20 @@ def _session_meta(
             "seed": session_seed,
             "repetition": repetition,
             "max_rounds": max_rounds,
-            "initiator": initiator,
+            "initiator": "team" if repetition % 2 == 0 else "opponent",
             "master_seed": master_seed,
         },
     }
 
 
-def _pairing_session(
-    scenario: Scenario,
-    team_cfg: TeamConfig,
-    opp_cfg: OpponentConfig,
-    repetition: int,
-    master_seed: int,
-    max_rounds: int,
-) -> tuple[Party, Party, SessionConfig, dict]:
-    """The parties, config and metadata of one (team, opponent, repetition) cell."""
-    session_seed = derive_seed(master_seed, team_cfg.name, opp_cfg.name, repetition)
-    beta_rng = np.random.default_rng(derive_seed(session_seed, "betas"))
-    members = resolve_members(team_cfg, scenario, beta_rng)
-    initiator = "team" if repetition % 2 == 0 else "opponent"
-
-    team_party = make_team_party(team_cfg, members, seed=derive_seed(session_seed, "team"))
-    opponent_party = build_opponent(
-        opp_cfg.archetype,
-        scenario.opponent_profile,
-        np.random.default_rng(derive_seed(session_seed, "opponent")),
-        params=opp_cfg.params,
-    )
-    config = SessionConfig(max_rounds=max_rounds, initiator=initiator)
-    meta = _session_meta(
-        scenario, team_cfg, members, opp_cfg, session_seed, repetition, max_rounds, initiator, master_seed
-    )
-    return team_party, opponent_party, config, meta
-
-
 def _play_cells(cells: Sequence[tuple]) -> list[tuple[SessionRecord, Transcript]]:
     """Play packed cells in lockstep, one session each; results in cell order."""
-    played = run_sessions([_pairing_session(*cell) for cell in cells])
-    results = []
-    for (scenario, team_cfg, opp_cfg, repetition, _, _), (transcript, outcome) in zip(cells, played):
-        session = transcript.config["session"]
-        record = _record_from_outcome(
-            scenario, team_cfg, opp_cfg, repetition, session["seed"], session["initiator"], outcome
-        )
-        results.append((record, transcript))
-    return results
+    metas = [_session_meta(*cell) for cell in cells]
+    played = run_sessions([(*rebuild_session(meta), meta) for meta in metas])
+    return [
+        (_record_from_outcome(meta, outcome), transcript)
+        for meta, (transcript, outcome) in zip(metas, played)
+    ]
 
 
 def _play_chunk(cells: Sequence[tuple], transcripts_dir: Path | None) -> list[SessionRecord]:
@@ -248,11 +224,13 @@ def run_pairing_session(
     return _play_cells([(scenario, team_cfg, opp_cfg, repetition, master_seed, max_rounds)])[0]
 
 
-def rebuild_session(meta: dict):
-    """Reconstruct the two parties and config a transcript was produced with.
+def rebuild_session(meta: dict) -> tuple[Party, Party, SessionConfig]:
+    """Build the two parties and config of the session ``meta`` describes.
 
-    Member tactics come from the resolved values stored in the metadata, so
-    nothing is redrawn; replaying yields the identical transcript.
+    This is the only code that builds a session: a run builds each one from
+    :func:`_session_meta`, a replay from the transcript's stored copy.
+    Member tactics come from the resolved values in the metadata, so nothing
+    is redrawn; replaying yields the identical transcript.
     """
     scenario = scenario_from_dict(meta["scenario"])
     team_cfg = team_config_from_dict(meta["team"])
@@ -279,29 +257,24 @@ def rebuild_session(meta: dict):
     return team_party, opponent_party, config
 
 
-def _record_from_outcome(
-    scenario: Scenario,
-    team_cfg: TeamConfig,
-    opp_cfg: OpponentConfig,
-    repetition: int,
-    session_seed: int,
-    initiator: str,
-    outcome: Outcome,
-) -> SessionRecord:
-    member_names = [p.name for p in scenario.team_profiles]
+def _record_from_outcome(meta: dict, outcome: Outcome) -> SessionRecord:
+    """The record of a session played from ``meta``."""
+    session = meta["session"]
+    member_names = [m["profile"] for m in meta["team"]["resolved_members"]]
+    (opponent_profile,) = [p["name"] for p in meta["scenario"]["profiles"] if p["role"] == "opponent"]
     member_utilities = {name: outcome.utilities[name] for name in member_names}
     values = list(member_utilities.values())
     return SessionRecord(
-        team=team_cfg.name,
-        opponent=opp_cfg.name,
-        repetition=repetition,
-        seed=session_seed,
-        initiator=initiator,
+        team=meta["team"]["name"],
+        opponent=meta["opponent"]["name"],
+        repetition=session["repetition"],
+        seed=session["seed"],
+        initiator=session["initiator"],
         agreement=outcome.agreement,
         reason=outcome.reason,
         rounds_used=outcome.rounds_used,
         member_utilities=member_utilities,
-        opponent_utility=outcome.utilities[scenario.opponent_profile.name],
+        opponent_utility=outcome.utilities[opponent_profile],
         team_average=sum(values) / len(values),
         team_min=min(values),
         team_max=max(values),

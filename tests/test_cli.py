@@ -120,3 +120,16 @@ def test_replay_detects_tampering(mini_run, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["replay", "--transcript", str(path)]) == 1
     assert "MISMATCH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", [None, "not json {", '{"config": {}}'], ids=["missing", "not-json", "no-actions"]
+)
+def test_replay_fails_cleanly_on_an_unreadable_transcript(tmp_path, capsys, text):
+    path = tmp_path / "transcript.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["replay", "--transcript", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err

@@ -17,15 +17,7 @@ from negoteam.domain import (
     scenario_to_dict,
     utility,
     utility_unchecked,
-    valuation,
 )
-
-
-def test_valuation_directions():
-    assert valuation(Direction.INCREASING, 0.3) == 0.3
-    assert valuation(Direction.DECREASING, 0.3) == pytest.approx(0.7)
-    assert valuation(Direction.INCREASING, 0.0) == 0.0
-    assert valuation(Direction.DECREASING, 0.0) == 1.0
 
 
 def _profile(weights, directions, name="p"):

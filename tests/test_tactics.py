@@ -58,8 +58,6 @@ def test_tactic_validation():
         TimeTactic(beta=-2.0)
     with pytest.raises(ValueError):
         TimeTactic(beta=1.0, reservation_utility=1.5)
-    with pytest.raises(ValueError):
-        TimeTactic(beta=1.0, deadline=0.5)
 
 
 @given(

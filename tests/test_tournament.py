@@ -6,12 +6,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negoteam import tournament
 from negoteam.domain import hotel_booking
+from negoteam.opponents import ARCHETYPES
 from negoteam.protocol import load_transcript, run_session, transcript_to_dict, transcripts_equal
 from negoteam.report import sessions_to_csv
-from negoteam.team import MemberSpec, TeamConfig
+from negoteam.tactics import IsoSamplerConfig
+from negoteam.team import STRATEGIES, MemberSpec, TeamConfig, team_config_from_dict
 from negoteam.tournament import (
     DEFAULT_MASTER_SEED,
     OpponentConfig,
@@ -76,6 +80,68 @@ def test_rebuild_replays_the_identical_transcript(strategy):
     team_party, opponent_party, config = rebuild_session(transcript.config)
     replayed, _ = run_session(team_party, opponent_party, config)
     assert transcripts_equal(transcript, replayed)
+
+
+# a representative archetype with one of its parameters off its default
+REPRESENTATIVE_PARAMS = {
+    "crazy_haggler": st.fixed_dictionaries({"threshold": st.floats(0.5, 1.0)}),
+    "agent_k_like": st.fixed_dictionaries({"gamma": st.floats(0.5, 6.0)}),
+    "haggler_adaptive": st.fixed_dictionaries({"base": st.floats(0.6, 1.0)}),
+    "smith_like": st.fixed_dictionaries({"floor": st.floats(0.2, 0.9)}),
+}
+
+
+@st.composite
+def random_cells(draw):
+    """A (scenario, team, opponent, repetition, master seed, max rounds) cell."""
+    scenario = hotel_booking()
+    lows = st.floats(0.05, 2.0)
+    members = [
+        MemberSpec(
+            beta=draw(st.none() | st.floats(0.05, 3.0)),
+            beta_range=draw(st.tuples(lows, st.floats(0.0, 1.0)).map(lambda r: (r[0], r[0] + r[1]))),
+            reservation_utility=draw(st.floats(0.05, 0.5)),
+        )
+        for _ in scenario.team_profiles
+    ]
+    strategy = draw(st.sampled_from(sorted(STRATEGIES)))
+    # only the strategy that reads a field has it drawn, and stored
+    only = {}
+    if strategy == "FUM":
+        only["agenda_observation_rounds"] = draw(st.integers(1, 6))
+    if strategy == "RE":
+        behavior = draw(st.sampled_from(["time_tactic", *REPRESENTATIVE_PARAMS]))
+        only["representative_behavior"] = behavior
+        if behavior in REPRESENTATIVE_PARAMS:
+            only["representative_params"] = draw(REPRESENTATIVE_PARAMS[behavior])
+    team = TeamConfig(
+        name="drawn",
+        strategy=strategy,
+        members=members,
+        sampler=IsoSamplerConfig(candidate_count=draw(st.integers(20, 100))),
+        **only,
+    )
+    opp = OpponentConfig(name="opp", archetype=draw(st.sampled_from(sorted(ARCHETYPES))))
+    repetition = draw(st.integers(0, 50))
+    master_seed = draw(st.integers(0, 2**63 - 1))
+    return scenario, team, opp, repetition, master_seed, draw(st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=random_cells())
+def test_the_metadata_alone_determines_the_session(cell):
+    _, team, opp, repetition, master_seed, _ = cell
+    record, transcript = run_pairing_session(*cell)
+    assert (record.team, record.opponent, record.repetition) == (team.name, opp.name, repetition)
+    assert record.seed == derive_seed(master_seed, team.name, opp.name, repetition)
+    # through JSON, as a transcript file carries the metadata
+    meta = json.loads(json.dumps(transcript.config))
+    # the metadata drops nothing of the config the session was played from
+    assert team_config_from_dict(meta["team"]) == team
+    assert OpponentConfig(**meta["opponent"]) == opp
+    replayed, outcome = run_session(*rebuild_session(meta))
+    assert transcripts_equal(transcript, replayed)
+    assert tournament._record_from_outcome(meta, outcome) == record
 
 
 def test_stonewalling_pairing_fails_with_all_zeros():
