@@ -34,8 +34,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # replace() checks the overridden config as loading checks a file
         overrides = {"master_seed": args.seed, "repetitions": args.reps, "max_rounds": args.max_rounds}
         config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        source = args.config or "built-in experiment"
+        print(f"error: {source}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out)
@@ -57,8 +58,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not csv_path.exists():
         print(f"error: {csv_path} not found", file=sys.stderr)
         return 2
-    records = read_sessions_csv(csv_path)
-    text = render_report(records, args.format)
+    try:
+        text = render_report(read_sessions_csv(csv_path), args.format)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {csv_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -37,15 +37,24 @@ def _member_columns(records: Sequence[SessionRecord]) -> list[str]:
     return names
 
 
+def _csv_line(fields: list) -> str:
+    """One CSV row, ending in a newline.
+
+    The writer quotes a field for the characters of its line terminator, and
+    a reader also ends a row at a lone carriage return, so the row is
+    written with ``\r\n`` and its ending cut back to ``\n``.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def sessions_to_csv(records: Sequence[SessionRecord]) -> str:
     """Render the canonical per-session CSV text."""
     if not records:
         raise ValueError("no records to render")
     members = _member_columns(records)
-    header = _FIXED_COLUMNS + [f"u_{m}" for m in members] + _TAIL_COLUMNS
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    lines = [_csv_line(_FIXED_COLUMNS + [f"u_{m}" for m in members] + _TAIL_COLUMNS)]
     for rec in records:
         row = [
             rec.team,
@@ -63,8 +72,8 @@ def sessions_to_csv(records: Sequence[SessionRecord]) -> str:
             repr(rec.team_max),
             repr(rec.joint_utility),
         ]
-        writer.writerow(row)
-    return buf.getvalue()
+        lines.append(_csv_line(row))
+    return "".join(lines)
 
 
 def write_sessions_csv(records: Sequence[SessionRecord], path: str | Path) -> None:

@@ -15,7 +15,7 @@ import functools
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -85,6 +85,8 @@ class TournamentConfig:
             raise ValueError("repetitions must be positive")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds!r}")
+        if not self.teams or not self.opponents:
+            raise ValueError("a tournament needs at least one team and one opponent")
         names = [t.name for t in self.teams] + [o.name for o in self.opponents]
         if len(set(names)) != len(names):
             raise ValueError("team and opponent names must be unique")
@@ -327,7 +329,10 @@ def run_tournament(
     workers = min(cpus, len(chunks))
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # futures loads its process module, with multiprocessing, only on
+            # this first attribute access, so a run that plays in this
+            # process never imports it
+            pool = futures.ProcessPoolExecutor(max_workers=workers)
             # cancel what has not started if a session or a write raises
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(play, chunks)

@@ -72,6 +72,32 @@ def test_run_rejects_an_override_below_one_before_playing(tmp_path, capsys, flag
     assert not (out_dir / "sessions.csv").exists()
 
 
+def _without(key):
+    return {k: v for k, v in MINI_CONFIG.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        None,
+        _without("teams"),
+        {**MINI_CONFIG, "scenario": "no-such-scenario"},
+        {**MINI_CONFIG, "teams": [], "opponents": []},
+    ],
+    ids=["missing", "no-teams-key", "unknown-scenario", "empty-lists"],
+)
+def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):
+    config_path = tmp_path / "config.json"
+    if doc is not None:
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_report_renders_from_a_finished_run(mini_run, capsys):
     assert main(["report", "--in", str(mini_run), "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -91,6 +117,22 @@ def test_report_renders_from_a_finished_run(mini_run, capsys):
 def test_report_fails_cleanly_without_a_run(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop_column", [False, True], ids=["header-only", "missing-column"])
+def test_report_fails_cleanly_on_a_bad_sessions_csv(mini_run, capsys, drop_column):
+    csv_path = mini_run / "sessions.csv"
+    header, first, *_ = csv_path.read_text(encoding="utf-8").splitlines()
+    if drop_column:
+        # every row loses its last field, joint_utility
+        text = "\n".join(line.rsplit(",", 1)[0] for line in (header, first)) + "\n"
+    else:
+        text = header + "\n"
+    csv_path.write_text(text, encoding="utf-8")
+    assert main(["report", "--in", str(mini_run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: ")
+    assert "Traceback" not in err
 
 
 def test_replay_verifies_stored_transcripts(mini_run, capsys):

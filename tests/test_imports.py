@@ -1,0 +1,61 @@
+"""What a process loads: scipy and the process pool only where they are used."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import negoteam
+
+HEAVY = ("scipy.special", "concurrent.futures.process")
+
+STEPS = """
+import dataclasses, json, sys
+
+def loaded():
+    return {name: name in sys.modules for name in sys.argv[1:]}
+
+steps = {}
+import negoteam, negoteam.cli
+steps["import"] = loaded()
+
+from negoteam.domain import hotel_booking
+from negoteam.report import build_report
+from negoteam.team import TeamConfig
+from negoteam.tournament import OpponentConfig, TournamentConfig, run_tournament
+
+config = TournamentConfig(
+    scenario=hotel_booking(),
+    teams=[TeamConfig(name="ssv", strategy="SSV", beta_range=(0.5, 0.99))],
+    opponents=[OpponentConfig(name="tft", archetype="nice_tft_like")],
+    repetitions=1,
+    max_rounds=20,
+)
+(record,) = run_tournament(config)
+build_report([record])
+steps["one repetition"] = loaded()
+
+records = [
+    dataclasses.replace(record, team=team, repetition=rep, team_average=value, joint_utility=value)
+    for team, values in (("a", (0.2, 0.3)), ("b", (0.6, 0.8)))
+    for rep, value in enumerate(values)
+]
+build_report(records)
+steps["two repetitions"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_and_the_process_pool_load_only_where_they_are_used():
+    src = str(Path(negoteam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", STEPS, *HEAVY], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    steps = json.loads(done.stdout.splitlines()[-1])
+    nothing = {name: False for name in HEAVY}
+    assert steps["import"] == nothing
+    assert steps["one repetition"] == nothing
+    # two repetitions per cell give the report statistics to compute
+    assert steps["two repetitions"]["scipy.special"]

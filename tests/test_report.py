@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negoteam.report import (
     build_report,
@@ -66,6 +68,50 @@ def test_csv_roundtrips_exactly(tmp_path):
     assert read_sessions_csv(path) == records
     # writing what was read reproduces the file byte for byte
     assert sessions_to_csv(read_sessions_csv(path)) == path.read_text(encoding="utf-8")
+
+
+# names with the characters CSV quotes, and text beyond ASCII; no surrogates,
+# which UTF-8 cannot encode
+NAMES = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from([",", '"', "\n", "\r", "é", "日"]),
+    max_size=12,
+)
+# floats that repr must carry exactly: the least subnormal and 0.1 + 0.2 among them
+UTILITIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, 0.0, 1.0, 0.1 + 0.2])
+
+
+@st.composite
+def record_lists(draw):
+    members = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    return [
+        SessionRecord(
+            team=draw(NAMES),
+            opponent=draw(NAMES),
+            repetition=draw(st.integers(0, 10**6)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+            initiator=draw(NAMES),
+            agreement=draw(st.booleans()),
+            reason=draw(NAMES),
+            rounds_used=draw(st.integers(0, 10**6)),
+            member_utilities={m: draw(UTILITIES) for m in members},
+            opponent_utility=draw(UTILITIES),
+            team_average=draw(UTILITIES),
+            team_min=draw(UTILITIES),
+            team_max=draw(UTILITIES),
+            joint_utility=draw(UTILITIES),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=record_lists())
+def test_csv_roundtrips_any_records_exactly(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("csv") / "sessions.csv"
+    write_sessions_csv(records, path)
+    assert read_sessions_csv(path) == records
+    # bytes, not read_text: universal newlines would turn a quoted "\r" into "\n"
+    assert sessions_to_csv(read_sessions_csv(path)) == path.read_bytes().decode("utf-8")
 
 
 def test_csv_rejects_empty_or_mixed_member_sets():

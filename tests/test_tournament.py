@@ -2,7 +2,7 @@
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from negoteam import tournament
 from negoteam.domain import hotel_booking
 from negoteam.opponents import ARCHETYPES
-from negoteam.protocol import load_transcript, run_session, transcript_to_dict, transcripts_equal
+from negoteam.protocol import ActionKind, load_transcript, run_session, transcript_to_dict, transcripts_equal
 from negoteam.report import sessions_to_csv
 from negoteam.tactics import IsoSamplerConfig
 from negoteam.team import STRATEGIES, MemberSpec, TeamConfig, team_config_from_dict
@@ -142,6 +142,22 @@ def test_the_metadata_alone_determines_the_session(cell):
     replayed, outcome = run_session(*rebuild_session(meta))
     assert transcripts_equal(transcript, replayed)
     assert tournament._record_from_outcome(meta, outcome) == record
+    # the protocol's invariants: an accept takes the other side's standing
+    # offer and ends the session; agreements score in [0, 1], failures zero
+    entries = transcript.entries
+    for i, entry in enumerate(entries):
+        if entry.action.kind is ActionKind.ACCEPT:
+            standing = entries[i - 1]
+            assert i == len(entries) - 1 and i > 0
+            assert standing.action.kind is ActionKind.PROPOSE and standing.party != entry.party
+            assert np.array_equal(outcome.offer, standing.action.offer)
+    assert outcome.agreement == (entries[-1].action.kind is ActionKind.ACCEPT)
+    if outcome.agreement:
+        assert all(0.0 <= u <= 1.0 for u in outcome.utilities.values())
+        assert 0.0 <= outcome.joint_utility <= 1.0
+    else:
+        assert set(outcome.utilities.values()) == {0.0} and outcome.joint_utility == 0.0
+        assert record.team_average == record.opponent_utility == 0.0
 
 
 def test_stonewalling_pairing_fails_with_all_zeros():
@@ -199,13 +215,13 @@ def test_run_tournament_covers_the_grid_in_order(monkeypatch, tmp_path):
     # of two cells give each run several chunks to hand to the pool
     handed = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(futures.ProcessPoolExecutor):
         def map(self, fn, chunks):
             chunks = list(chunks)
             handed.append(len(chunks))
             return super().map(fn, chunks)
 
-    monkeypatch.setattr(tournament, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(tournament, "CHUNK_CELLS", 2)
     runs = {}
     for cpus in (1, 2):
@@ -466,6 +482,14 @@ def test_load_rejects_names_that_give_the_same_transcript_file_name():
     doc = desk_doc()
     doc["opponents"][2]["name"] = "fum-b"
     tournament_config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["teams", "opponents"])
+def test_load_rejects_an_empty_team_or_opponent_list(key):
+    doc = desk_doc()
+    doc[key] = []
+    with pytest.raises(ValueError, match="at least one team and one opponent"):
+        tournament_config_from_dict(doc)
 
 
 def test_load_rejects_max_rounds_below_one():
