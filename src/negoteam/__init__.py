@@ -30,7 +30,7 @@ from .protocol import (
     save_transcript,
     score,
 )
-from .tactics import IsoSamplerConfig, SampleRequest, TimeTactic, demand, sample_iso_offer
+from .tactics import SampleRequest, TimeTactic, demand
 from .team import (
     MemberSpec,
     TeamConfig,

@@ -24,6 +24,12 @@ from .tournament import (
 )
 
 
+def _error(source: object, exc: Exception) -> int:
+    """Report ``exc`` as one ``error:`` line about ``source``; the exit code is 2."""
+    print(f"error: {source}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         if args.config is not None:
@@ -35,12 +41,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides = {"master_seed": args.seed, "repetitions": args.reps, "max_rounds": args.max_rounds}
         config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        source = args.config or "built-in experiment"
-        print(f"error: {source}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _error(args.config or "built-in experiment", exc)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _error(out_dir, exc)
     records = run_tournament(config, transcripts_dir=None if args.no_transcripts else out_dir / "transcripts")
 
     write_sessions_csv(records, out_dir / "sessions.csv")
@@ -61,10 +68,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         text = render_report(read_sessions_csv(csv_path), args.format)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {csv_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _error(csv_path, exc)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _error(args.out, exc)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -77,8 +86,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         team_party, opponent_party, config = rebuild_session(stored.config)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         # exit 1 is kept for a replay that diverges
-        print(f"error: {args.transcript}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _error(args.transcript, exc)
     replayed, outcome = run_session(team_party, opponent_party, config, stored.config)
     if not transcripts_equal(stored, replayed):
         print("MISMATCH: replay diverged from the stored transcript", file=sys.stderr)

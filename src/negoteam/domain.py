@@ -163,6 +163,17 @@ BUILTIN_SCENARIOS = {
 }
 
 
+def check_keys(doc: dict, known: Iterable[str], block: str) -> None:
+    """Reject a config block holding a key its loader would not read.
+
+    Raises ValueError naming ``block`` and the first unknown key, so that a
+    misspelt key fails at load instead of being ignored.
+    """
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{block}: unknown key {unknown[0]!r}; known: {', '.join(known)}")
+
+
 def _profile_to_dict(profile: PreferenceProfile, role: str) -> dict:
     return {
         "name": profile.name,
@@ -174,6 +185,9 @@ def _profile_to_dict(profile: PreferenceProfile, role: str) -> dict:
 
 
 def _profile_from_dict(doc: dict) -> PreferenceProfile:
+    check_keys(
+        doc, ("name", "role", "weights", "directions", "reservation_utility"), f"profile {doc['name']!r}"
+    )
     return PreferenceProfile(
         name=str(doc["name"]),
         weights=np.asarray(doc["weights"], dtype=np.float64),
@@ -189,6 +203,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    check_keys(doc, ("name", "issues", "profiles"), "scenario")
     team: list[PreferenceProfile] = []
     opponent: PreferenceProfile | None = None
     for pdoc in doc["profiles"]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import PreferenceProfile, utility_unchecked
 from .protocol import Action, Decision, Party
-from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, SampleRequest, TimeTactic, demand
+from .tactics import SampleRequest, TimeTactic, demand
 
 _EPS = 1e-9
 
@@ -94,12 +94,10 @@ class _BilateralAgent(Party):
         self,
         profile: PreferenceProfile,
         rng: np.random.Generator,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
     ) -> None:
         self.profile = profile
         self.rng = rng
-        self.sampler = sampler
         self.name = name
         self.beliefs = OfferBeliefs()
         self.last_received: np.ndarray | None = None
@@ -115,7 +113,7 @@ class _BilateralAgent(Party):
 
     def _propose(self, target: float, references: list[np.ndarray]) -> Decision:
         """Ask for an offer at ``target`` near ``references`` and propose it."""
-        (offer,) = yield [SampleRequest(self.profile, target, references, self.rng, self.sampler)]
+        (offer,) = yield [SampleRequest(self.profile, target, references, self.rng)]
         self.last_sent = offer
         return Action.propose(offer)
 
@@ -133,17 +131,16 @@ class TimeTacticNegotiator(_BilateralAgent):
         profile: PreferenceProfile,
         tactic: TimeTactic,
         rng: np.random.Generator,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
         use_own_reference: bool = False,
     ) -> None:
-        super().__init__(profile, rng, sampler, name)
+        super().__init__(profile, rng, name)
         self.tactic = tactic
         self.use_own_reference = use_own_reference
 
     def decide(self, t: float) -> Decision:
         s = demand(self.tactic, t)
-        if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= s:
+        if self.last_received is not None and self.beliefs.last_utility >= s:
             return Action.accept()
         refs = []
         if self.last_received is not None:
@@ -169,16 +166,15 @@ class CrazyHaggler(_BilateralAgent):
         profile: PreferenceProfile,
         rng: np.random.Generator,
         threshold: float = 0.9,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, sampler, name)
+        super().__init__(profile, rng, name)
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
         self.threshold = threshold
 
     def decide(self, t: float) -> Decision:
-        if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= self.threshold:
+        if self.last_received is not None and self.beliefs.last_utility >= self.threshold:
             return Action.accept()
         headroom = 1.0 - self.threshold
         target = self.threshold + headroom * self.rng.uniform(self.TARGET_MARGIN, 1.0)
@@ -199,10 +195,9 @@ class AgentKLike(_BilateralAgent):
         profile: PreferenceProfile,
         rng: np.random.Generator,
         gamma: float = 3.0,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, sampler, name)
+        super().__init__(profile, rng, name)
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
         self.gamma = gamma
@@ -213,7 +208,7 @@ class AgentKLike(_BilateralAgent):
 
     def decide(self, t: float) -> Decision:
         target = self.target(t)
-        if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= target:
+        if self.last_received is not None and self.beliefs.last_utility >= target:
             return Action.accept()
         if self.beliefs.best_offer is not None and self.beliefs.best_utility >= target:
             offer = self.beliefs.best_offer.copy()
@@ -237,10 +232,9 @@ class SmithLike(_BilateralAgent):
         rng: np.random.Generator,
         final_phase: float = 2.0 / 3.0,
         floor: float = 0.5,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, sampler, name)
+        super().__init__(profile, rng, name)
         if not 0.0 < final_phase < 1.0:
             raise ValueError("final_phase must lie in (0, 1)")
         if not 0.0 <= floor <= 1.0:
@@ -253,16 +247,13 @@ class SmithLike(_BilateralAgent):
 
     def decide(self, t: float) -> Decision:
         if t >= self.final_phase and self.beliefs.best_offer is not None:
-            if (
-                self.last_received is not None
-                and utility_unchecked(self.profile, self.last_received) >= self.beliefs.best_utility
-            ):
+            if self.last_received is not None and self.beliefs.last_utility >= self.beliefs.best_utility:
                 return Action.accept()
             offer = self.beliefs.best_offer.copy()
             self.last_sent = offer
             return Action.propose(offer)
         target = self.target(t)
-        if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= target:
+        if self.last_received is not None and self.beliefs.last_utility >= target:
             return Action.accept()
         mean_offer = self.beliefs.mean_offer
         refs = [mean_offer] if mean_offer is not None else []
@@ -288,10 +279,9 @@ class NiceTitForTat(_BilateralAgent):
         nash_floor: float = 0.5,
         endgame: float = 0.95,
         reciprocity_gain: float = 3.0,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, sampler, name)
+        super().__init__(profile, rng, name)
         if not 0.0 <= nash_floor <= 1.0:
             raise ValueError("nash_floor must lie in [0, 1]")
         if not 0.0 < endgame <= 1.0:
@@ -317,7 +307,7 @@ class NiceTitForTat(_BilateralAgent):
     def decide(self, t: float) -> Decision:
         target = self.target(t)
         if self.last_received is not None:
-            u = utility_unchecked(self.profile, self.last_received)
+            u = self.beliefs.last_utility
             if u >= target:
                 return Action.accept()
             if t >= self.endgame and u >= self.beliefs.best_utility:
@@ -337,10 +327,9 @@ class HagglerAdaptive(_BilateralAgent):
         base: float = 0.85,
         slope: float = 0.25,
         sigma_mult: float = 2.0,
-        sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
         name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, sampler, name)
+        super().__init__(profile, rng, name)
         if not all(math.isfinite(v) for v in (base, slope, sigma_mult)):
             raise ValueError("base, slope and sigma_mult must be finite")
         self.base = base
@@ -353,17 +342,15 @@ class HagglerAdaptive(_BilateralAgent):
 
     def decide(self, t: float) -> Decision:
         target = self.target(t)
-        if self.last_received is not None and utility_unchecked(self.profile, self.last_received) >= target:
+        if self.last_received is not None and self.beliefs.last_utility >= target:
             return Action.accept()
         refs = [self.last_received] if self.last_received is not None else []
         return (yield from self._propose(min(max(target, 0.0), 1.0), refs))
 
 
-def _build_time_tactic(
-    profile, rng, sampler=DEFAULT_SAMPLER, name="opponent", beta=1.0, reservation_utility=0.0
-):
+def _build_time_tactic(profile, rng, name="opponent", beta=1.0, reservation_utility=0.0):
     tactic = TimeTactic(beta=beta, reservation_utility=reservation_utility)
-    return TimeTacticNegotiator(profile, tactic, rng, sampler, name)
+    return TimeTacticNegotiator(profile, tactic, rng, name)
 
 
 # each archetype's constructor; its keyword parameters are the archetype's params
@@ -382,7 +369,6 @@ def build_opponent(
     profile: PreferenceProfile,
     rng: np.random.Generator,
     params: dict | None = None,
-    sampler: IsoSamplerConfig = DEFAULT_SAMPLER,
     name: str = "opponent",
 ) -> Party:
     """Instantiate an archetype by name with its parameter map.
@@ -395,7 +381,7 @@ def build_opponent(
     except KeyError:
         known = ", ".join(sorted(ARCHETYPES))
         raise ValueError(f"unknown archetype {archetype!r}; known: {known}") from None
-    shared = ("profile", "rng", "sampler", "name")
+    shared = ("profile", "rng", "name")
     accepted = [p for p in inspect.signature(factory).parameters if p not in shared]
     params = dict(params or {})
     unknown = sorted(set(params) - set(accepted))
@@ -407,4 +393,4 @@ def build_opponent(
         values = {key: float(value) for key, value in params.items()}
     except (TypeError, ValueError):
         raise ValueError(f"archetype {archetype!r} parameters must be numbers, got {params!r}") from None
-    return factory(profile, rng, sampler=sampler, name=name, **values)
+    return factory(profile, rng, name=name, **values)

@@ -20,6 +20,9 @@ from .domain import PreferenceProfile, ideal_offer
 logger = logging.getLogger(__name__)
 
 PROJECTION_ITERATIONS = 10
+# candidates drawn per request, and how far from the target an offer may lie
+CANDIDATE_COUNT = 500
+UTILITY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,21 +56,6 @@ def demand(tactic: TimeTactic, t: float) -> float:
     return 1.0 - (1.0 - tactic.reservation_utility) * t ** (1.0 / tactic.beta)
 
 
-@dataclass(frozen=True)
-class IsoSamplerConfig:
-    candidate_count: int = 500
-    utility_tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.candidate_count < 1:
-            raise ValueError("candidate_count must be positive")
-        if self.utility_tolerance <= 0.0:
-            raise ValueError("utility_tolerance must be positive")
-
-
-DEFAULT_SAMPLER = IsoSamplerConfig()
-
-
 class SampleRequest(NamedTuple):
     """One agent's ask for an offer at ``target`` utility to ``profile``.
 
@@ -79,7 +67,6 @@ class SampleRequest(NamedTuple):
     target: float
     references: Sequence[np.ndarray]
     rng: np.random.Generator
-    config: IsoSamplerConfig
 
 
 def sample_iso_offer(
@@ -87,7 +74,6 @@ def sample_iso_offer(
     target_u: float,
     references: Sequence[np.ndarray] | None,
     rng: np.random.Generator,
-    config: IsoSamplerConfig = DEFAULT_SAMPLER,
 ) -> np.ndarray:
     """Draw an offer whose utility to ``profile`` is ``target_u`` within tolerance.
 
@@ -96,7 +82,7 @@ def sample_iso_offer(
     utility margin instead. target_u == 1 pins the ideal offer (the iso
     surface degenerates to a single point there).
     """
-    return sample_iso_offers([SampleRequest(profile, target_u, references or (), rng, config)])[0]
+    return sample_iso_offers([SampleRequest(profile, target_u, references or (), rng)])[0]
 
 
 def sample_iso_offers(requests: Sequence[SampleRequest]) -> list[np.ndarray]:
@@ -105,11 +91,11 @@ def sample_iso_offers(requests: Sequence[SampleRequest]) -> list[np.ndarray]:
     Every request draws its candidates from its own ``rng``, in request
     order, and gets exactly the offer ``sample_iso_offer`` would return for
     it alone. A request whose target is 1 draws nothing and gets its ideal
-    offer. The kernel stacks the clouds of requests with the same candidate
-    and issue counts, so those share one call.
+    offer. The kernel stacks the clouds of requests with the same issue
+    count, so those share one call.
     """
     offers: list = [None] * len(requests)
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     clouds = {}
     for i, req in enumerate(requests):
         if not 0.0 <= req.target <= 1.0:
@@ -117,19 +103,19 @@ def sample_iso_offers(requests: Sequence[SampleRequest]) -> list[np.ndarray]:
         if req.target >= 1.0:
             offers[i] = ideal_offer(req.profile)
             continue
-        shape = (req.config.candidate_count, req.profile.n_issues)
-        groups.setdefault(shape, []).append(i)
-        clouds[i] = req.rng.random(shape)
+        n_issues = req.profile.n_issues
+        groups.setdefault(n_issues, []).append(i)
+        clouds[i] = req.rng.random((CANDIDATE_COUNT, n_issues))
     for drawing in groups.values():
         stacked = [requests[i] for i in drawing]
-        # one row per drawing agent: offset, target, tolerance
-        scalars = np.array([(req.profile.offset, req.target, req.config.utility_tolerance) for req in stacked])
+        # one row per drawing agent: offset, target
+        scalars = np.array([(req.profile.offset, req.target) for req in stacked])
         points, _, found = _kernels.choose_iso(
             np.concatenate([clouds[i] for i in drawing]),
             np.array([req.profile.gradient for req in stacked]),
             scalars[:, 0],
             scalars[:, 1],
-            scalars[:, 2],
+            np.full(len(stacked), UTILITY_TOLERANCE),
             PROJECTION_ITERATIONS,
             [req.references for req in stacked],
         )

@@ -17,15 +17,15 @@ against brute-force oracles; every tie breaks toward the lowest index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import PreferenceProfile, Scenario, utility_unchecked
+from .domain import PreferenceProfile, Scenario, check_keys, utility_unchecked
 from .opponents import ARCHETYPES, TimeTacticNegotiator, build_opponent
 from .protocol import Action, ActionKind, Decision, Party
-from .tactics import DEFAULT_SAMPLER, IsoSamplerConfig, SampleRequest, TimeTactic, demand
+from .tactics import SampleRequest, TimeTactic, demand
 
 # a team's proposal, asked for as a Decision asks, returning the offer
 Proposal = Generator[list[SampleRequest], list[np.ndarray], np.ndarray]
@@ -175,7 +175,6 @@ def build_unanimity_offer(
 class TeamMember:
     profile: PreferenceProfile
     tactic: TimeTactic
-    sampler: IsoSamplerConfig = DEFAULT_SAMPLER
 
     def demand(self, t: float) -> float:
         return demand(self.tactic, t)
@@ -229,7 +228,7 @@ class TeamParty(Party):
         """Every member's ask for a candidate offer at its demand, near the same references."""
         refs = self.member_references()
         return [
-            SampleRequest(m.profile, m.demand(t), refs, rng, m.sampler)
+            SampleRequest(m.profile, m.demand(t), refs, rng)
             for m, rng in zip(self.members, self.member_rngs)
         ]
 
@@ -359,7 +358,6 @@ class RepresentativeTeam(TeamParty):
                 member.profile,
                 member.tactic,
                 rng,
-                sampler=member.sampler,
                 name=self.name,
                 use_own_reference=True,
             )
@@ -368,7 +366,6 @@ class RepresentativeTeam(TeamParty):
             member.profile,
             rng,
             params=self.behavior_params,
-            sampler=member.sampler,
             name=self.name,
         )
 
@@ -437,7 +434,6 @@ class TeamConfig:
     agenda_observation_rounds: int = 5
     representative_behavior: str = "time_tactic"
     representative_params: dict = field(default_factory=dict)
-    sampler: IsoSamplerConfig = DEFAULT_SAMPLER
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -492,7 +488,7 @@ def resolve_members(
                 raise ValueError(f"{config.name!r}: member needs a beta or a beta_range")
             beta = float(rng.uniform(beta_range[0], beta_range[1]))
         tactic = TimeTactic(beta=beta, reservation_utility=spec.reservation_utility)
-        members.append(TeamMember(profile=profile, tactic=tactic, sampler=config.sampler))
+        members.append(TeamMember(profile=profile, tactic=tactic))
     return members
 
 
@@ -541,33 +537,25 @@ def team_config_to_dict(config: TeamConfig) -> dict:
         doc["representative_behavior"] = config.representative_behavior
         if config.representative_params:
             doc["representative_params"] = config.representative_params
-    if config.sampler != DEFAULT_SAMPLER:
-        doc["sampler"] = {
-            "candidate_count": config.sampler.candidate_count,
-            "utility_tolerance": config.sampler.utility_tolerance,
-        }
     return doc
 
 
+def _member_spec_from_dict(doc: dict, owner: str) -> MemberSpec:
+    check_keys(doc, [f.name for f in fields(MemberSpec)], owner)
+    return MemberSpec(
+        beta=doc.get("beta"),
+        beta_range=tuple(doc["beta_range"]) if doc.get("beta_range") else None,
+        reservation_utility=float(doc.get("reservation_utility", 0.0)),
+    )
+
+
 def team_config_from_dict(doc: dict) -> TeamConfig:
+    owner = f"team {doc['name']!r}"
+    # a team document holds exactly the fields of a TeamConfig
+    check_keys(doc, [f.name for f in fields(TeamConfig)], owner)
     members = None
     if "members" in doc:
-        members = [
-            MemberSpec(
-                beta=spec.get("beta"),
-                beta_range=tuple(spec["beta_range"]) if spec.get("beta_range") else None,
-                reservation_utility=float(spec.get("reservation_utility", 0.0)),
-            )
-            for spec in doc["members"]
-        ]
-    sampler = DEFAULT_SAMPLER
-    if "sampler" in doc:
-        sampler = IsoSamplerConfig(
-            candidate_count=int(doc["sampler"].get("candidate_count", DEFAULT_SAMPLER.candidate_count)),
-            utility_tolerance=float(
-                doc["sampler"].get("utility_tolerance", DEFAULT_SAMPLER.utility_tolerance)
-            ),
-        )
+        members = [_member_spec_from_dict(spec, f"{owner} member {i}") for i, spec in enumerate(doc["members"])]
     return TeamConfig(
         name=str(doc["name"]),
         strategy=str(doc["strategy"]),
@@ -576,5 +564,4 @@ def team_config_from_dict(doc: dict) -> TeamConfig:
         agenda_observation_rounds=int(doc.get("agenda_observation_rounds", 5)),
         representative_behavior=str(doc.get("representative_behavior", "time_tactic")),
         representative_params=dict(doc.get("representative_params", {})),
-        sampler=sampler,
     )

@@ -16,13 +16,13 @@ import hashlib
 import math
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .domain import Scenario, load_scenario, scenario_from_dict, scenario_to_dict
+from .domain import Scenario, check_keys, load_scenario, scenario_from_dict, scenario_to_dict
 from .opponents import build_opponent
 from .protocol import Outcome, Party, SessionConfig, Transcript, run_sessions, save_transcript
 from .tactics import TimeTactic
@@ -235,7 +235,10 @@ def rebuild_session(meta: dict) -> tuple[Party, Party, SessionConfig]:
     is redrawn; replaying yields the identical transcript.
     """
     scenario = scenario_from_dict(meta["scenario"])
-    team_cfg = team_config_from_dict(meta["team"])
+    # the team's config, less the members its session resolved
+    team_doc = dict(meta["team"])
+    resolved = team_doc.pop("resolved_members")
+    team_cfg = team_config_from_dict(team_doc)
     session = meta["session"]
     session_seed = int(session["seed"])
 
@@ -243,9 +246,8 @@ def rebuild_session(meta: dict) -> tuple[Party, Party, SessionConfig]:
         TeamMember(
             profile=scenario.profile_by_name(m["profile"]),
             tactic=TimeTactic(beta=float(m["beta"]), reservation_utility=float(m["reservation_utility"])),
-            sampler=team_cfg.sampler,
         )
-        for m in meta["team"]["resolved_members"]
+        for m in resolved
     ]
     team_party = make_team_party(team_cfg, members, seed=derive_seed(session_seed, "team"))
     opp_doc = meta["opponent"]
@@ -441,24 +443,29 @@ def tournament_config_to_dict(config: TournamentConfig) -> dict:
     }
 
 
+def _opponent_config_from_dict(doc: dict) -> OpponentConfig:
+    check_keys(doc, [f.name for f in fields(OpponentConfig)], f"opponent {doc['name']!r}")
+    return OpponentConfig(
+        name=str(doc["name"]),
+        archetype=str(doc["archetype"]),
+        params=dict(doc.get("params", {})),
+    )
+
+
 def tournament_config_from_dict(doc: dict) -> TournamentConfig:
+    """Load a config document; every block rejects a key it does not know."""
+    check_keys(doc, ("scenario", "teams", "opponents", "tournament"), "config")
     scenario_doc = doc["scenario"]
     if isinstance(scenario_doc, str):
         scenario = load_scenario(scenario_doc)
     else:
         scenario = scenario_from_dict(scenario_doc)
     meta = doc.get("tournament", {})
+    check_keys(meta, ("repetitions", "max_rounds", "seed"), "tournament")
     return TournamentConfig(
         scenario=scenario,
         teams=[team_config_from_dict(t) for t in doc["teams"]],
-        opponents=[
-            OpponentConfig(
-                name=str(o["name"]),
-                archetype=str(o["archetype"]),
-                params=dict(o.get("params", {})),
-            )
-            for o in doc["opponents"]
-        ],
+        opponents=[_opponent_config_from_dict(o) for o in doc["opponents"]],
         repetitions=int(meta.get("repetitions", 10)),
         max_rounds=int(meta.get("max_rounds", 1000)),
         master_seed=int(meta.get("seed", DEFAULT_MASTER_SEED)),

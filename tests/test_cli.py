@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from negoteam import cli
 from negoteam.cli import main
 
 MINI_CONFIG = {
@@ -83,8 +84,10 @@ def _without(key):
         _without("teams"),
         {**MINI_CONFIG, "scenario": "no-such-scenario"},
         {**MINI_CONFIG, "teams": [], "opponents": []},
+        {**MINI_CONFIG, "tournament": {"reps": 3}},
+        {**MINI_CONFIG, "teams": ["ssv"]},
     ],
-    ids=["missing", "no-teams-key", "unknown-scenario", "empty-lists"],
+    ids=["missing", "no-teams-key", "unknown-scenario", "empty-lists", "unknown-key", "team-not-an-object"],
 )
 def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):
     config_path = tmp_path / "config.json"
@@ -96,6 +99,22 @@ def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):
     assert err.startswith(f"error: {config_path}: ")
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_run_fails_cleanly_on_an_out_path_that_is_a_file(tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(MINI_CONFIG), encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+
+    def play(*args, **kwargs):
+        raise AssertionError("a session was played")
+
+    monkeypatch.setattr(cli, "run_tournament", play)
+    assert main(["run", "--config", str(config_path), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {taken}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_report_renders_from_a_finished_run(mini_run, capsys):
@@ -112,6 +131,15 @@ def test_report_renders_from_a_finished_run(mini_run, capsys):
     assert main(["report", "--in", str(mini_run), "--format", "markdown", "--out", str(target)]) == 0
     capsys.readouterr()
     assert target.read_text(encoding="utf-8").startswith("# Tournament report")
+
+
+def test_report_fails_cleanly_on_an_out_path_in_a_missing_directory(mini_run, capsys):
+    target = mini_run / "missing" / "x.md"
+    assert main(["report", "--in", str(mini_run), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
 
 
 def test_report_fails_cleanly_without_a_run(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""What a process loads: scipy and the process pool only where they are used."""
+"""What a process loads: scipy and the process pool only where they are used,
+and the names perfbench's tracer wraps."""
 
 import json
 import os
@@ -47,15 +48,58 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_and_the_process_pool_load_only_where_they_are_used():
+TRACED_SESSION = """
+import json, sys
+
+sys.path.insert(0, sys.argv[1])
+import tracing
+from negoteam import protocol, tournament
+from negoteam.domain import hotel_booking
+from negoteam.team import TeamConfig
+from negoteam.tournament import OpponentConfig
+
+def play():
+    team = TeamConfig(name="ssv", strategy="SSV", beta_range=(0.5, 0.99))
+    opponent = OpponentConfig(name="k", archetype="agent_k_like")
+    meta = tournament._session_meta(hotel_booking(), team, opponent, 0, 7, 20)
+    transcript, _ = protocol.run_session(*tournament.rebuild_session(meta), meta)
+    return protocol.transcript_to_dict(transcript)
+
+untraced = play()
+tracer = tracing.install()
+traced = play()
+tracer.uninstall()
+print(json.dumps({
+    "equal": traced == untraced,
+    "sessions": tracer.layer_times()["protocol.run_session"]["calls"],
+    "rounds": tracer.counts["protocol.rounds"],
+}))
+"""
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(negoteam.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", STEPS, *HEAVY], capture_output=True, text=True, env=env, timeout=120, check=True
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120, check=True
     )
+
+
+def test_scipy_and_the_process_pool_load_only_where_they_are_used():
+    done = _run(STEPS, *HEAVY)
     steps = json.loads(done.stdout.splitlines()[-1])
     nothing = {name: False for name in HEAVY}
     assert steps["import"] == nothing
     assert steps["one repetition"] == nothing
     # two repetitions per cell give the report statistics to compute
     assert steps["two repetitions"]["scipy.special"]
+
+
+def test_perfbench_tracer_wraps_a_session_without_changing_it():
+    # the tracer patches negoteam's names from outside; one it can no longer
+    # find fails here, not only when the benchmark runs
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    done = _run(TRACED_SESSION, str(perfbench))
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["equal"]
+    assert result["sessions"] == 1 and 0 < result["rounds"] <= 20

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from negoteam import _kernels
 from negoteam.domain import PreferenceProfile, ideal_offer, utility
 from negoteam.tactics import (
-    DEFAULT_SAMPLER,
-    IsoSamplerConfig,
+    UTILITY_TOLERANCE,
     SampleRequest,
     TimeTactic,
     demand,
@@ -100,7 +99,7 @@ def test_sample_hits_target_within_tolerance(scenario, rng):
     profile = scenario.opponent_profile
     for target in (0.2, 0.5, 0.85):
         offer = sample_iso_offer(profile, target, None, rng)
-        assert abs(utility(profile, offer) - target) <= DEFAULT_SAMPLER.utility_tolerance
+        assert abs(utility(profile, offer) - target) <= UTILITY_TOLERANCE
         assert np.all(offer >= 0.0) and np.all(offer <= 1.0)
 
 
@@ -136,13 +135,13 @@ def test_references_pull_choice_toward_them(scenario):
     assert np.linalg.norm(pulled - ref) <= np.linalg.norm(free - ref) + 1e-12
 
 
-def test_unreachable_target_falls_back_to_ideal(rng):
-    # target 0.999 lies in a sliver near the ideal corner; the lone candidate
-    # drawn by this seed projects onto a box face, where each iteration only
-    # halves the remaining gap, so ten of them cannot close it to 1e-6
-    profile = make_profile([0.5, 0.5], ["increasing", "decreasing"])
-    config = IsoSamplerConfig(candidate_count=1)
-    offer = sample_iso_offer(profile, 0.999, None, rng, config)
+def test_unreachable_target_falls_back_to_ideal(scenario, rng):
+    # target 0.9999 lies in a sliver near the ideal corner; candidates there
+    # project onto box faces, where each iteration closes only the share of
+    # the gap held by the unclipped issues, so ten of them leave every one of
+    # the drawn candidates off target by more than the tolerance
+    profile = scenario.team_profiles[1]
+    offer = sample_iso_offer(profile, 0.9999, None, rng)
     assert np.array_equal(offer, ideal_offer(profile))
 
 
@@ -156,21 +155,23 @@ def test_sample_on_target_property(target, seed):
     assert abs(u - target) <= 1e-6 or np.array_equal(offer, ideal_offer(profile))
 
 
-def test_stacked_sampling_mixes_candidate_counts_and_references(scenario):
-    # requests with different candidate counts and reference sets share a
-    # call, and each gets exactly what it would get alone
-    profiles = scenario.team_profiles
-    refs = [(), [np.full(4, 0.3)], [np.full(4, 0.3), np.full(4, 0.8)]]
-    configs = [IsoSamplerConfig(candidate_count=10), IsoSamplerConfig(candidate_count=20)]
+def test_stacked_sampling_mixes_issue_counts_and_references(scenario):
+    # requests with different issue counts and reference sets come in one
+    # batch, which the kernel serves in one call per issue count, and each
+    # gets exactly what it would get alone
+    two_issues = make_profile([0.6, 0.4], ["increasing", "decreasing"], name="two")
+    profiles = [*scenario.team_profiles, two_issues]
+    refs = [(), [np.full(4, 0.3)], [np.full(4, 0.3), np.full(4, 0.8)], [np.full(2, 0.5)]]
     requests = [
-        SampleRequest(profiles[i % 3], target, refs[i % 3], np.random.default_rng(i), configs[i % 2])
-        for i, target in enumerate([0.5, 0.7, 1.0, 0.2, 0.9, 0.6])
+        SampleRequest(profiles[i % 4], target, refs[i % 4], np.random.default_rng(i))
+        for i, target in enumerate([0.5, 0.7, 1.0, 0.2, 0.9, 0.6, 0.4, 0.8])
     ]
     offers = sample_iso_offers(requests)
     for i, req in enumerate(requests):
         rng = np.random.default_rng(i)
-        alone = sample_iso_offer(req.profile, req.target, list(req.references), rng, req.config)
+        alone = sample_iso_offer(req.profile, req.target, list(req.references), rng)
         assert np.array_equal(offers[i], alone)
+        assert offers[i].shape == (req.profile.n_issues,)
     # an agent at target 1 draws nothing
     assert np.array_equal(offers[2], ideal_offer(profiles[2]))
     assert requests[2].rng.random() == np.random.default_rng(2).random()

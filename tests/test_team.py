@@ -315,7 +315,7 @@ def test_member_proposals_equal_one_sampler_call_per_member(scenario, cls):
         got = sample_iso_offers(team.member_requests(t))
         refs = team.member_references()
         want = [
-            sample_iso_offer(m.profile, m.demand(t), refs, rng, m.sampler)
+            sample_iso_offer(m.profile, m.demand(t), refs, rng)
             for m, rng in zip(members, clones)
         ]
         for g, w in zip(got, want):

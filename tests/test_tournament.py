@@ -14,7 +14,6 @@ from negoteam.domain import hotel_booking
 from negoteam.opponents import ARCHETYPES
 from negoteam.protocol import ActionKind, load_transcript, run_session, transcript_to_dict, transcripts_equal
 from negoteam.report import sessions_to_csv
-from negoteam.tactics import IsoSamplerConfig
 from negoteam.team import STRATEGIES, MemberSpec, TeamConfig, team_config_from_dict
 from negoteam.tournament import (
     DEFAULT_MASTER_SEED,
@@ -118,7 +117,6 @@ def random_cells(draw):
         name="drawn",
         strategy=strategy,
         members=members,
-        sampler=IsoSamplerConfig(candidate_count=draw(st.integers(20, 100))),
         **only,
     )
     opp = OpponentConfig(name="opp", archetype=draw(st.sampled_from(sorted(ARCHETYPES))))
@@ -130,14 +128,17 @@ def random_cells(draw):
 @settings(max_examples=60, deadline=None)
 @given(cell=random_cells())
 def test_the_metadata_alone_determines_the_session(cell):
-    _, team, opp, repetition, master_seed, _ = cell
+    scenario, team, opp, repetition, master_seed, _ = cell
     record, transcript = run_pairing_session(*cell)
     assert (record.team, record.opponent, record.repetition) == (team.name, opp.name, repetition)
     assert record.seed == derive_seed(master_seed, team.name, opp.name, repetition)
     # through JSON, as a transcript file carries the metadata
     meta = json.loads(json.dumps(transcript.config))
-    # the metadata drops nothing of the config the session was played from
-    assert team_config_from_dict(meta["team"]) == team
+    # the metadata drops nothing of the config the session was played from,
+    # and adds to it only the members the session resolved
+    team_doc = dict(meta["team"])
+    assert len(team_doc.pop("resolved_members")) == len(scenario.team_profiles)
+    assert team_config_from_dict(team_doc) == team
     assert OpponentConfig(**meta["opponent"]) == opp
     replayed, outcome = run_session(*rebuild_session(meta))
     assert transcripts_equal(transcript, replayed)
@@ -503,4 +504,30 @@ def test_load_rejects_agenda_observation_rounds_below_one():
     doc = desk_doc()
     doc["teams"][0]["agenda_observation_rounds"] = 0
     with pytest.raises(ValueError, match="'FUM B': agenda_observation_rounds must be positive"):
+        tournament_config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, key, value, message",
+    [
+        ((), "reps", 3, "config: unknown key 'reps'"),
+        (("tournament",), "reps", 3, "tournament: unknown key 'reps'"),
+        (("teams", 3), "beta_rnage", [0.1, 0.2], "team 'SSV B': unknown key 'beta_rnage'"),
+        (("teams", 3, "members", 1), "bta", 0.5, "team 'SSV B' member 1: unknown key 'bta'"),
+        (("opponents", 0), "parms", {"threshold": 0.5}, "opponent 'Crazy': unknown key 'parms'"),
+        (("scenario",), "issue", [], "scenario: unknown key 'issue'"),
+        (("scenario", "profiles", 0), "weight", 1.0, "profile 'a1': unknown key 'weight'"),
+        # the sampler's parameters are constants of negoteam.tactics
+        (("teams", 3), "sampler", {"utility_tolerence": 1e-3}, "team 'SSV B': unknown key 'sampler'"),
+    ],
+    ids=["top-level", "tournament", "team", "member", "opponent", "scenario", "profile", "sampler"],
+)
+def test_load_rejects_a_key_no_block_reads(path, key, value, message):
+    doc = desk_doc()
+    doc["teams"][3]["members"] = [{"beta": 0.5} for _ in range(3)]
+    block = doc
+    for step in path:
+        block = block[step]
+    block[key] = value
+    with pytest.raises(ValueError, match=message):
         tournament_config_from_dict(doc)
