@@ -14,7 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .protocol import load_transcript, run_session, transcripts_equal
+from .protocol import first_divergence, load_transcript, run_session, transcripts_equal
 from .report import read_sessions_csv, render_markdown, render_report, build_report, write_sessions_csv
 from .tournament import (
     desk_config,
@@ -89,11 +89,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return _error(args.transcript, exc)
     replayed, outcome = run_session(team_party, opponent_party, config, stored.config)
     if not transcripts_equal(stored, replayed):
-        print("MISMATCH: replay diverged from the stored transcript", file=sys.stderr)
+        index = first_divergence(stored, replayed)
+        if index is None:
+            where = "in its outcome"
+        else:
+            rnd, party = (stored if index < len(stored) else replayed).round_and_party(index)
+            where = f"at action {index} (round {rnd}, party {party})"
+        print(f"MISMATCH: replay diverged from the stored transcript {where}", file=sys.stderr)
         return 1
     status = "agreement" if outcome.agreement else f"failure ({outcome.reason})"
     print(
-        f"replay OK: {len(replayed.entries)} actions, {status} "
+        f"replay OK: {len(replayed)} actions, {status} "
         f"after {outcome.rounds_used} rounds, joint utility {outcome.joint_utility:.4f}"
     )
     return 0

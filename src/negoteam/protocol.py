@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Generator, Mapping, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class ActionKind(str, Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     kind: ActionKind
     offer: np.ndarray | None = None
@@ -112,7 +112,7 @@ class SessionConfig:
             raise ValueError("initiator must be 'team' or 'opponent'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     round: int
     t: float
@@ -132,11 +132,115 @@ class Outcome:
     accepted_at: float | None = None
 
 
-@dataclass
+# an action's kind code is its index here
+_KINDS = tuple(ActionKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_PROPOSE = _KIND_CODES[ActionKind.PROPOSE]
+
+
 class Transcript:
-    config: dict
-    entries: list[TranscriptEntry] = field(default_factory=list)
-    outcome: Outcome | None = None
+    """A session's actions, held as columns, and its outcome.
+
+    Action ``i`` is row ``i`` of the round, ``t``, party-code and kind-code
+    columns; a party code indexes the names in order of first appearance.
+    The k-th proposal's offer is row k of one float64 array. The columns are
+    allocated for ``capacity`` actions, and :meth:`finish` trims them once to
+    the actions appended; the store is not resized after that, so the views
+    that :attr:`entries` hands out stay views of it.
+    """
+
+    __slots__ = (
+        "config",
+        "_outcome",
+        "_parties",
+        "_rounds",
+        "_ts",
+        "_party_codes",
+        "_kind_codes",
+        "_offers",
+        "_size",
+        "_proposals",
+    )
+
+    def __init__(self, config: dict, capacity: int = 0) -> None:
+        self.config = config
+        self._outcome: Outcome | None = None
+        self._parties: list[str] = []
+        self._rounds = np.empty(capacity, dtype=np.int64)
+        self._ts = np.empty(capacity, dtype=np.float64)
+        self._party_codes = np.empty(capacity, dtype=np.uint8)
+        self._kind_codes = np.empty(capacity, dtype=np.uint8)
+        self._offers = np.empty((capacity, 0))  # reallocated at the first proposal, whose length sets its width
+        self._size = 0
+        self._proposals = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def outcome(self) -> Outcome | None:
+        return self._outcome
+
+    def append(self, round: int, t: float, party: str, action: Action) -> None:
+        """Record ``party``'s ``action`` in ``round``, at normalised time ``t``."""
+        i = self._size
+        if i == len(self._kind_codes):  # a finished transcript is trimmed full
+            raise ValueError(f"transcript is full at {i} actions")
+        offer = action.offer
+        if offer is not None and self._proposals and offer.shape != self._offers.shape[1:]:
+            raise ValueError(f"offer of shape {offer.shape} in a transcript of {self._offers.shape[1:]}")
+        if party not in self._parties:
+            if len(self._parties) == 256:
+                raise ValueError("a transcript holds at most 256 parties")
+            self._parties.append(party)
+        if offer is not None:
+            if not self._proposals:
+                self._offers = np.empty((len(self._kind_codes), *offer.shape))
+            self._offers[self._proposals] = offer
+            self._proposals += 1
+        self._rounds[i] = round
+        self._ts[i] = t
+        self._party_codes[i] = self._parties.index(party)
+        self._kind_codes[i] = _KIND_CODES[action.kind]
+        self._size = i + 1
+
+    def finish(self, outcome: Outcome) -> None:
+        """Set the outcome and trim the columns to the actions appended."""
+        if self._outcome is not None:
+            raise ValueError("transcript is already finished")
+        n = self._size
+        self._rounds, self._ts, self._party_codes, self._kind_codes = (
+            column[:n].copy() for column in (self._rounds, self._ts, self._party_codes, self._kind_codes)
+        )
+        self._offers = self._offers[: self._proposals].copy()
+        self._outcome = outcome
+
+    def round_and_party(self, i: int) -> tuple[int, str]:
+        """The round of action ``i`` and the party that took it."""
+        return int(self._rounds[i]), self._parties[self._party_codes[i]]
+
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        """The actions as entries, built on each call from the columns.
+
+        A proposal's offer is a view of its row in the store. Only a finished
+        transcript has entries, so that no view outlives the trim.
+        """
+        if self._outcome is None:
+            raise ValueError("transcript has no outcome; session did not finish")
+        return [
+            TranscriptEntry(rnd, t, party, Action(kind, offer))
+            for rnd, t, party, kind, offer in self._rows(self._offers)
+        ]
+
+    def _rows(self, offers: Iterable) -> Iterator[tuple[int, float, str, ActionKind, object]]:
+        """Each action's round, ``t``, party, kind and offer: the next of
+        ``offers`` for a proposal, None otherwise."""
+        offers = iter(offers)
+        for rnd, t, party, kind in zip(
+            self._rounds.tolist(), self._ts.tolist(), self._party_codes.tolist(), self._kind_codes.tolist()
+        ):
+            yield rnd, t, self._parties[party], _KINDS[kind], next(offers) if kind == _PROPOSE else None
 
 
 def score(offer: np.ndarray | None, profiles: Mapping[str, PreferenceProfile]) -> tuple[dict[str, float], float]:
@@ -171,7 +275,7 @@ class _LiveSession:
     ) -> None:
         self.max_rounds = config.max_rounds
         self.profiles = _all_profiles(team_party, opponent_party)
-        self.transcript = Transcript(config=dict(meta or {}))
+        self.transcript = Transcript(dict(meta or {}), capacity=2 * config.max_rounds)
         self.outcome: Outcome | None = None
         if config.initiator == "team":
             self.turns = ((team_party, opponent_party), (opponent_party, team_party))
@@ -189,7 +293,7 @@ class _LiveSession:
         actor, other = self.turns[self.turn]
         rnd = self.round
         t = rnd / self.max_rounds
-        self.transcript.entries.append(TranscriptEntry(rnd, t, actor.name, action))
+        self.transcript.append(rnd, t, actor.name, action)
         if action.kind is ActionKind.ACCEPT:
             if self.standing is None:
                 raise ProtocolViolation(f"{actor.name} accepted with no standing offer")
@@ -233,7 +337,7 @@ class _LiveSession:
 
     def _finish(self, outcome: Outcome) -> None:
         self.outcome = outcome
-        self.transcript.outcome = outcome
+        self.transcript.finish(outcome)
 
 
 def run_sessions(
@@ -292,25 +396,19 @@ def run_session(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _action_to_dict(entry: TranscriptEntry) -> dict:
-    doc: dict = {
-        "round": entry.round,
-        "t": entry.t,
-        "party": entry.party,
-        "kind": entry.action.kind.value,
-    }
-    if entry.action.offer is not None:
-        doc["offer"] = [float(v) for v in entry.action.offer]
-    return doc
-
-
 def transcript_to_dict(transcript: Transcript) -> dict:
     if transcript.outcome is None:
         raise ValueError("transcript has no outcome; session did not finish")
+    actions = []
+    for rnd, t, party, kind, offer in transcript._rows(transcript._offers.tolist()):
+        doc = {"round": rnd, "t": t, "party": party, "kind": kind.value}
+        if offer is not None:
+            doc["offer"] = offer
+        actions.append(doc)
     out = transcript.outcome
     return {
         "config": transcript.config,
-        "actions": [_action_to_dict(e) for e in transcript.entries],
+        "actions": actions,
         "outcome": {
             "agreement": out.agreement,
             "reason": out.reason,
@@ -325,30 +423,26 @@ def transcript_to_dict(transcript: Transcript) -> dict:
 
 
 def transcript_from_dict(doc: dict) -> Transcript:
-    entries = []
-    for adoc in doc["actions"]:
+    actions = doc["actions"]
+    transcript = Transcript(dict(doc["config"]), capacity=len(actions))
+    for adoc in actions:
         kind = ActionKind(adoc["kind"])
         offer = np.asarray(adoc["offer"], dtype=np.float64) if "offer" in adoc else None
-        entries.append(
-            TranscriptEntry(
-                round=int(adoc["round"]),
-                t=float(adoc["t"]),
-                party=str(adoc["party"]),
-                action=Action(kind, offer),
-            )
-        )
+        transcript.append(int(adoc["round"]), float(adoc["t"]), str(adoc["party"]), Action(kind, offer))
     odoc = doc["outcome"]
-    outcome = Outcome(
-        agreement=bool(odoc["agreement"]),
-        reason=str(odoc["reason"]),
-        offer=None if odoc["offer"] is None else np.asarray(odoc["offer"], dtype=np.float64),
-        utilities={k: float(v) for k, v in doc["utilities"].items()},
-        joint_utility=float(doc["joint_utility"]),
-        rounds_used=int(odoc["rounds_used"]),
-        accepted_by=odoc.get("accepted_by"),
-        accepted_at=odoc.get("accepted_at"),
+    transcript.finish(
+        Outcome(
+            agreement=bool(odoc["agreement"]),
+            reason=str(odoc["reason"]),
+            offer=None if odoc["offer"] is None else np.asarray(odoc["offer"], dtype=np.float64),
+            utilities={k: float(v) for k, v in doc["utilities"].items()},
+            joint_utility=float(doc["joint_utility"]),
+            rounds_used=int(odoc["rounds_used"]),
+            accepted_by=odoc.get("accepted_by"),
+            accepted_at=odoc.get("accepted_at"),
+        )
     )
-    return Transcript(config=dict(doc["config"]), entries=entries, outcome=outcome)
+    return transcript
 
 
 def save_transcript(transcript: Transcript, path: str | Path) -> None:
@@ -367,25 +461,47 @@ def load_transcript(path: str | Path) -> Transcript:
         return transcript_from_dict(json.load(fh))
 
 
+def first_divergence(a: Transcript, b: Transcript) -> int | None:
+    """The index of the first action at which ``a`` and ``b`` differ, or None.
+
+    Actions differ in round, ``t``, party, kind or offer. Where one
+    transcript holds the other's actions and more, they diverge at the
+    shorter one's length.
+    """
+    n = min(len(a), len(b))
+    # b's party codes in a's numbering; a name a lacks gets a code it never uses
+    remap = np.array([a._parties.index(p) if p in a._parties else 256 for p in b._parties], dtype=np.int64)
+    differs = (
+        (a._rounds[:n] != b._rounds[:n])
+        | (a._ts[:n] != b._ts[:n])
+        | (a._kind_codes[:n] != b._kind_codes[:n])
+        | (a._party_codes[:n] != remap[b._party_codes[:n]])
+    )
+    stop = int(np.argmax(differs)) if differs.any() else n
+    # before ``stop`` both take the same kinds, so their k-th proposals are the same action
+    proposals = np.flatnonzero(a._kind_codes[:stop] == _PROPOSE)
+    if len(proposals):
+        offers_a = a._offers[: len(proposals)]
+        offers_b = b._offers[: len(proposals)]
+        if offers_a.shape != offers_b.shape:
+            return int(proposals[0])
+        rows = np.flatnonzero((offers_a != offers_b).any(axis=1))
+        if len(rows):
+            return int(proposals[rows[0]])
+    return stop if stop < max(len(a), len(b)) else None
+
+
+def _outcomes_equal(oa: Outcome | None, ob: Outcome | None) -> bool:
+    if oa is None or ob is None:
+        return oa is ob
+    fields = ("agreement", "reason", "rounds_used", "accepted_by", "accepted_at", "utilities", "joint_utility")
+    if any(getattr(oa, f) != getattr(ob, f) for f in fields):
+        return False
+    if oa.offer is None or ob.offer is None:
+        return oa.offer is ob.offer
+    return np.array_equal(oa.offer, ob.offer)
+
+
 def transcripts_equal(a: Transcript, b: Transcript) -> bool:
-    """Action-for-action equality, ignoring the metadata block."""
-    if len(a.entries) != len(b.entries):
-        return False
-    for ea, eb in zip(a.entries, b.entries):
-        if (ea.round, ea.t, ea.action.kind) != (eb.round, eb.t, eb.action.kind):
-            return False
-        if (ea.action.offer is None) != (eb.action.offer is None):
-            return False
-        if ea.action.offer is not None and not np.array_equal(ea.action.offer, eb.action.offer):
-            return False
-    oa, ob = a.outcome, b.outcome
-    if (oa is None) != (ob is None):
-        return False
-    if oa is not None and ob is not None:
-        if (oa.agreement, oa.reason, oa.rounds_used) != (ob.agreement, ob.reason, ob.rounds_used):
-            return False
-        if (oa.offer is None) != (ob.offer is None):
-            return False
-        if oa.offer is not None and ob.offer is not None and not np.array_equal(oa.offer, ob.offer):
-            return False
-    return True
+    """Action-for-action and outcome equality, ignoring the metadata block."""
+    return first_divergence(a, b) is None and _outcomes_equal(a.outcome, b.outcome)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from negoteam.domain import hotel_booking
-from negoteam.protocol import load_transcript, run_session, transcripts_equal
+from negoteam.protocol import load_transcript, run_session, score, transcripts_equal
 from negoteam.stats import anova_oneway, holm_adjust
 from negoteam.tactics import TimeTactic, demand
 from negoteam.team import TeamConfig, borda_scores, borda_winner, plurality_winner
@@ -207,6 +207,10 @@ def test_representative_teams_reproduce_the_lone_negotiator():
         team_party, opponent_party, config = rebuild_session(transcript.config)
         twin = team_party.lone_twin()
         alone, _ = run_session(twin, opponent_party, config)
+        # the twin scores only its own agent; scored for the whole team, its
+        # session must be the team's, outcome and all
+        profiles = {**team_party.utility_profiles, **opponent_party.utility_profiles}
+        alone.outcome.utilities, alone.outcome.joint_utility = score(alone.outcome.offer, profiles)
         assert transcripts_equal(transcript, alone), f"rep {rep} diverged"
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line runs on a miniature tournament."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +191,35 @@ def test_replay_detects_tampering(mini_run, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["replay", "--transcript", str(path)]) == 1
     assert "MISMATCH" in capsys.readouterr().err
+
+
+def test_replay_names_the_first_diverging_action(mini_run, capsys):
+    path = mini_run / "transcripts" / "ssv__smith__001.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    index = max(i for i, a in enumerate(doc["actions"][:6]) if "offer" in a)
+    action = doc["actions"][index]
+    action["offer"][1] = 0.5 if action["offer"][1] != 0.5 else 0.25
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["replay", "--transcript", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "MISMATCH: replay diverged from the stored transcript at action "
+        f"{index} (round {action['round']}, party {action['party']})\n"
+    )
+
+
+def test_replay_tells_an_outcome_that_alone_differs(mini_run, capsys):
+    path = mini_run / "transcripts" / "fum__tft__000.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["joint_utility"] += 1e-9
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["replay", "--transcript", str(path)]) == 1
+    assert capsys.readouterr().err == "MISMATCH: replay diverged from the stored transcript in its outcome\n"
+
+
+def test_replay_verifies_a_transcript_written_by_an_earlier_version(capsys):
+    path = Path(__file__).parent / "data" / "ssv-b__tft__001.json"
+    assert main(["replay", "--transcript", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("replay OK: 16 actions, agreement after 8 rounds")
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,23 @@
 """Alternating-offers mechanics, scoring and transcript serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from negoteam.domain import utility
 from negoteam.protocol import (
     Action,
     ActionKind,
+    Outcome,
     Party,
     ProtocolViolation,
     SessionConfig,
+    Transcript,
+    first_divergence,
     load_transcript,
     run_session,
     run_sessions,
@@ -202,11 +208,146 @@ def test_transcripts_equal_detects_differences(scenario):
     assert not transcripts_equal(a, b)
 
 
-def test_unfinished_transcript_refuses_to_serialize(scenario):
-    from negoteam.protocol import Transcript
+def _edited(transcript, edit):
+    doc = json.loads(json.dumps(transcript_to_dict(transcript)))
+    edit(doc)
+    return transcript_from_dict(doc)
 
+
+def _set_outcome(key, value):
+    return lambda doc: doc["outcome"].__setitem__(key, value)
+
+
+def _set_utility(doc):
+    doc["utilities"]["member_0"] += 1e-9
+
+
+def _set_joint(doc):
+    doc["joint_utility"] += 1e-9
+
+
+def _swap_party(doc):
+    doc["actions"][1]["party"] = doc["actions"][0]["party"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _swap_party,
+        _set_outcome("accepted_by", "opponent"),
+        _set_outcome("accepted_at", 0.2),
+        _set_utility,
+        _set_joint,
+    ],
+    ids=["party", "accepted_by", "accepted_at", "utilities", "joint_utility"],
+)
+def test_transcripts_equal_compares_parties_and_the_whole_outcome(scenario, edit):
+    a = finished_transcript(scenario)
+    assert transcripts_equal(a, _edited(a, lambda doc: None))
+    assert not transcripts_equal(a, _edited(a, edit))
+
+
+def test_first_divergence_names_the_first_differing_action(scenario):
+    a = finished_transcript(scenario)
+    assert len(a) == 3 and first_divergence(a, a) is None
+
+    def nudge_last_offer(doc):
+        doc["actions"][1]["offer"][2] += 1e-12
+
+    assert first_divergence(a, _edited(a, nudge_last_offer)) == 1
+    assert first_divergence(a, _edited(a, _swap_party)) == 1
+    assert first_divergence(a, _edited(a, lambda doc: doc["actions"][2].__setitem__("t", 0.5))) == 2
+
+    def widen_offers(doc):
+        for action in doc["actions"]:
+            if "offer" in action:
+                action["offer"].append(0.5)
+
+    assert first_divergence(a, _edited(a, widen_offers)) == 0
+    shorter = _edited(a, lambda doc: doc["actions"].pop())
+    assert first_divergence(a, shorter) == first_divergence(shorter, a) == 2
+    # actions that agree leave an outcome's difference to transcripts_equal
+    assert first_divergence(a, _edited(a, _set_joint)) is None
+
+
+def test_unfinished_transcript_refuses_to_serialize(scenario):
     with pytest.raises(ValueError):
         transcript_to_dict(Transcript(config={}))
+
+
+def test_the_store_takes_only_what_fits(scenario):
+    transcript = Transcript(config={}, capacity=2)
+    transcript.append(0, 0.0, "team", Action.propose(np.full(4, 0.5)))
+    with pytest.raises(ValueError):
+        transcript.append(0, 0.0, "opponent", Action.propose(np.full(3, 0.5)))
+    with pytest.raises(ValueError):  # entries only once no action can follow
+        transcript.entries
+    transcript.append(0, 0.0, "opponent", Action.propose(np.full(4, 0.25)))
+    with pytest.raises(ValueError):
+        transcript.append(1, 0.5, "team", Action.accept())
+    transcript.finish(Outcome(False, "deadline", None, {}, 0.0, 1))
+    assert [e.party for e in transcript.entries] == ["team", "opponent"]
+    with pytest.raises(ValueError):
+        transcript.finish(Outcome(False, "deadline", None, {}, 0.0, 1))
+
+
+# offers of 1-6 issues; the endpoints and the smallest subnormal round-trip too
+_values = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _appended_sessions(draw):
+    n_issues = draw(st.integers(1, 6))
+    offers = st.lists(_values, min_size=n_issues, max_size=n_issues).map(np.array)
+    parties = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    actions = []
+    for kind in draw(st.lists(st.sampled_from(list(ActionKind)), max_size=24)):
+        offer = draw(offers) if kind is ActionKind.PROPOSE else None
+        rnd, t, party = draw(st.integers(0, 10**6)), draw(st.floats(0.0, 1.0)), draw(st.sampled_from(parties))
+        actions.append((rnd, t, party, Action(kind, offer)))
+    agreement = draw(st.booleans())
+    outcome = Outcome(
+        agreement=agreement,
+        reason="accepted" if agreement else draw(st.sampled_from(["deadline", "ended"])),
+        offer=draw(offers) if agreement else None,
+        utilities={name: draw(_values) for name in parties},
+        joint_utility=draw(_values),
+        rounds_used=draw(st.integers(1, 10**6)),
+        accepted_by=draw(st.sampled_from(parties)) if agreement else None,
+        accepted_at=draw(st.floats(0.0, 1.0)) if agreement else None,
+    )
+    return actions, outcome, draw(st.integers(0, 5))
+
+
+@given(_appended_sessions())
+def test_the_store_gives_back_what_was_appended(session):
+    actions, outcome, spare = session
+    transcript = Transcript(config={"spare": spare}, capacity=len(actions) + spare)
+    for action in actions:
+        transcript.append(*action)
+    transcript.finish(outcome)
+    assert len(transcript) == len(actions)
+    entries = transcript.entries
+    assert [(e.round, e.t, e.party, e.action.kind) for e in entries] == [a[:3] + (a[3].kind,) for a in actions]
+    for entry, (_, _, _, action) in zip(entries, actions):
+        if action.offer is None:
+            assert entry.action.offer is None
+        else:
+            assert entry.action.offer.tolist() == action.offer.tolist()
+    text = json.dumps(transcript_to_dict(transcript), separators=(",", ":"))
+    back = transcript_from_dict(json.loads(text))
+    assert transcripts_equal(transcript, back)
+    assert json.dumps(transcript_to_dict(back), separators=(",", ":")) == text
+
+
+def test_a_transcript_written_by_an_earlier_version_loads_unchanged(tmp_path):
+    # written by `negoteam run` at commit bc6f9b0, which kept each action as its
+    # own object, from a one-team config of 12-round sessions
+    path = Path(__file__).parent / "data" / "ssv-b__tft__001.json"
+    transcript = load_transcript(path)
+    assert len(transcript) == 16 and transcript.outcome.accepted_by == "team"
+    save_transcript(transcript, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_lockstep_sessions_match_each_session_alone(scenario):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from negoteam.domain import PreferenceProfile
 from negoteam.opponents import TimeTacticNegotiator
-from negoteam.protocol import ActionKind, SessionConfig, run_session, transcripts_equal
+from negoteam.protocol import ActionKind, SessionConfig, run_session, score, transcripts_equal
 from negoteam.tactics import TimeTactic, sample_iso_offer, sample_iso_offers
 from negoteam.team import (
     STRATEGIES,
@@ -389,6 +389,10 @@ def test_representative_session_matches_lone_twin():
             opposing_profile(), TimeTactic(beta=1.0), np.random.default_rng(seed + 1000)
         )
         alone, _ = run_session(twin, opp2, config)
+        # the twin scores only its own agent; scored for the whole team, its
+        # session must be the team's, outcome and all
+        profiles = {**team.utility_profiles, **opp2.utility_profiles}
+        alone.outcome.utilities, alone.outcome.joint_utility = score(alone.outcome.offer, profiles)
         assert transcripts_equal(with_team, alone)
 
 

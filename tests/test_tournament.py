@@ -1,7 +1,9 @@
 """Seed derivation, session reproducibility and the tournament harness."""
 
+import gc
 import json
 import os
+import tracemalloc
 from concurrent import futures
 
 import numpy as np
@@ -159,6 +161,32 @@ def test_the_metadata_alone_determines_the_session(cell):
     else:
         assert set(outcome.utilities.values()) == {0.0} and outcome.joint_utility == 0.0
         assert record.team_average == record.opponent_utility == 0.0
+
+
+def test_a_finished_session_keeps_its_actions_compactly():
+    # bytes per action still allocated once a 1000-round session has
+    # finished, its record and transcript kept: columns hold about 53, an
+    # entry, action and offer array per action held 383
+    config = desk_config(repetitions=1)
+    team = next(t for t in config.teams if t.name == "FUM VB")
+    crazy = next(o for o in config.opponents if o.name == "Crazy")
+
+    def play():
+        return run_pairing_session(config.scenario, team, crazy, 0, config.master_seed, 1000)
+
+    play()  # imports and caches settle outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = play()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    actions = len(kept[1])
+    assert actions > 1500
+    assert retained / actions <= 128
 
 
 def test_stonewalling_pairing_fails_with_all_zeros():
