@@ -51,7 +51,6 @@ from .tournament import (
     OpponentConfig,
     SessionRecord,
     TournamentConfig,
-    aggregate,
     desk_config,
     run_pairing_session,
     run_tournament,

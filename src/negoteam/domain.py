@@ -35,7 +35,6 @@ class PreferenceProfile:
     name: str
     weights: np.ndarray
     directions: tuple[Direction, ...]
-    reservation_utility: float = 0.0
 
     # derived, set in __post_init__
     signs: np.ndarray = field(init=False, repr=False)
@@ -53,8 +52,6 @@ class PreferenceProfile:
             raise ValueError("weights must be non-negative")
         if abs(float(self.weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights of {self.name!r} must sum to 1")
-        if not 0.0 <= self.reservation_utility <= 1.0:
-            raise ValueError("reservation utility must lie in [0, 1]")
         self.signs = np.array(
             [1.0 if d is Direction.INCREASING else -1.0 for d in self.directions]
         )
@@ -180,7 +177,8 @@ def _profile_to_dict(profile: PreferenceProfile, role: str) -> dict:
         "role": role,
         "weights": [float(w) for w in profile.weights],
         "directions": [d.value for d in profile.directions],
-        "reservation_utility": float(profile.reservation_utility),
+        # kept, always 0.0, so that documents and transcripts keep their bytes
+        "reservation_utility": 0.0,
     }
 
 
@@ -188,11 +186,16 @@ def _profile_from_dict(doc: dict) -> PreferenceProfile:
     check_keys(
         doc, ("name", "role", "weights", "directions", "reservation_utility"), f"profile {doc['name']!r}"
     )
+    if float(doc.get("reservation_utility", 0.0)) != 0.0:
+        # no agent reads a profile's reservation utility; accepting one would ignore it
+        raise ValueError(
+            f"profile {doc['name']!r}: reservation_utility must be 0; set a reservation utility "
+            "in a team member's spec, or in a time_tactic opponent's params"
+        )
     return PreferenceProfile(
         name=str(doc["name"]),
         weights=np.asarray(doc["weights"], dtype=np.float64),
         directions=tuple(doc["directions"]),
-        reservation_utility=float(doc.get("reservation_utility", 0.0)),
     )
 
 

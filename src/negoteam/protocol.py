@@ -131,6 +131,17 @@ class Outcome:
     accepted_by: str | None = None
     accepted_at: float | None = None
 
+    def __eq__(self, other: object) -> bool:
+        """Field-by-field equality; offers compare element-wise."""
+        if not isinstance(other, Outcome):
+            return NotImplemented
+        fields = ("agreement", "reason", "rounds_used", "accepted_by", "accepted_at", "utilities", "joint_utility")
+        if any(getattr(self, f) != getattr(other, f) for f in fields):
+            return False
+        if self.offer is None or other.offer is None:
+            return self.offer is other.offer
+        return np.array_equal(self.offer, other.offer)
+
 
 # an action's kind code is its index here
 _KINDS = tuple(ActionKind)
@@ -491,17 +502,6 @@ def first_divergence(a: Transcript, b: Transcript) -> int | None:
     return stop if stop < max(len(a), len(b)) else None
 
 
-def _outcomes_equal(oa: Outcome | None, ob: Outcome | None) -> bool:
-    if oa is None or ob is None:
-        return oa is ob
-    fields = ("agreement", "reason", "rounds_used", "accepted_by", "accepted_at", "utilities", "joint_utility")
-    if any(getattr(oa, f) != getattr(ob, f) for f in fields):
-        return False
-    if oa.offer is None or ob.offer is None:
-        return oa.offer is ob.offer
-    return np.array_equal(oa.offer, ob.offer)
-
-
 def transcripts_equal(a: Transcript, b: Transcript) -> bool:
     """Action-for-action and outcome equality, ignoring the metadata block."""
-    return first_divergence(a, b) is None and _outcomes_equal(a.outcome, b.outcome)
+    return first_divergence(a, b) is None and a.outcome == b.outcome

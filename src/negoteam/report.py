@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .stats import DEFAULT_ALPHA, anova_oneway, posthoc_best_groups
-from .tournament import SessionRecord, aggregate
+from .tournament import SessionRecord
 
 _FIXED_COLUMNS = [
     "team",
@@ -121,50 +121,48 @@ def _ordered(records: Sequence[SessionRecord], attr: str) -> list[str]:
     return seen
 
 
-def build_report(records: Sequence[SessionRecord], alpha: float = DEFAULT_ALPHA) -> dict:
+def build_report(records: Sequence[SessionRecord]) -> dict:
     """Aggregate records into a JSON-ready report document.
 
-    Per opponent column: mean team-average and mean joint utility per team
-    setup, a one-way ANOVA across the setups, and the statistically-best
-    set per metric from the Holm-corrected Welch post-hoc.
+    Per opponent column: each team setup's cell means over its sessions,
+    failures included as zeros, a one-way ANOVA on team utility across the
+    setups, and the statistically-best set per metric from the
+    Holm-corrected Welch post-hoc at ``DEFAULT_ALPHA``.
     """
     if not records:
         raise ValueError("no records to report on")
     teams = _ordered(records, "team")
     opponents = _ordered(records, "opponent")
-    aggregates = {(a.team, a.opponent): a for a in aggregate(records)}
-
-    by_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
+    by_cell: dict[tuple[str, str], list[SessionRecord]] = {}
     for rec in records:
-        cell = by_cell.setdefault((rec.team, rec.opponent), {"team_average": [], "joint": []})
-        cell["team_average"].append(rec.team_average)
-        cell["joint"].append(rec.joint_utility)
+        by_cell.setdefault((rec.team, rec.opponent), []).append(rec)
 
     columns = []
     for opponent in opponents:
-        team_avg_groups = [by_cell[(team, opponent)]["team_average"] for team in teams]
-        joint_groups = [by_cell[(team, opponent)]["joint"] for team in teams]
+        cell_records = [by_cell[(team, opponent)] for team in teams]
+        team_avg_groups = [[r.team_average for r in recs] for recs in cell_records]
+        joint_groups = [[r.joint_utility for r in recs] for recs in cell_records]
         # a single team or single-repetition cells leave nothing to test
         can_test = len(teams) >= 2 and min(len(g) for g in team_avg_groups) >= 2
         if can_test:
             anova = anova_oneway(team_avg_groups)
-            best_avg = posthoc_best_groups(team_avg_groups, alpha).best
-            best_joint = posthoc_best_groups(joint_groups, alpha).best
+            best_avg = posthoc_best_groups(team_avg_groups, DEFAULT_ALPHA).best
+            best_joint = posthoc_best_groups(joint_groups, DEFAULT_ALPHA).best
         else:
             anova = None
             best_avg = set()
             best_joint = set()
         cells = {}
-        for team in teams:
-            agg = aggregates[(team, opponent)]
+        for team, recs in zip(teams, cell_records):
+            n = len(recs)
             cells[team] = {
-                "mean_team_average": agg.mean_team_average,
-                "mean_team_min": agg.mean_team_min,
-                "mean_team_max": agg.mean_team_max,
-                "mean_opponent": agg.mean_opponent,
-                "mean_joint": agg.mean_joint,
-                "agreement_rate": agg.agreement_rate,
-                "n_sessions": agg.n_sessions,
+                "mean_team_average": sum(r.team_average for r in recs) / n,
+                "mean_team_min": sum(r.team_min for r in recs) / n,
+                "mean_team_max": sum(r.team_max for r in recs) / n,
+                "mean_opponent": sum(r.opponent_utility for r in recs) / n,
+                "mean_joint": sum(r.joint_utility for r in recs) / n,
+                "agreement_rate": sum(r.agreement for r in recs) / n,
+                "n_sessions": n,
             }
         columns.append(
             {
@@ -182,7 +180,7 @@ def build_report(records: Sequence[SessionRecord], alpha: float = DEFAULT_ALPHA)
                 "best_joint": sorted(teams[i] for i in best_joint),
             }
         )
-    return {"teams": teams, "opponents": opponents, "alpha": alpha, "columns": columns}
+    return {"teams": teams, "opponents": opponents, "alpha": DEFAULT_ALPHA, "columns": columns}
 
 
 def render_json(report: dict) -> str:
@@ -240,11 +238,11 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def render_report(records: Sequence[SessionRecord], fmt: str, alpha: float = DEFAULT_ALPHA) -> str:
+def render_report(records: Sequence[SessionRecord], fmt: str) -> str:
     """Render records in one of the supported formats: csv, json, markdown."""
     if fmt == "csv":
         return sessions_to_csv(records)
-    report = build_report(records, alpha)
+    report = build_report(records)
     if fmt == "json":
         return render_json(report)
     if fmt == "markdown":

@@ -86,45 +86,45 @@ def sample_iso_offer(
 
 
 def sample_iso_offers(requests: Sequence[SampleRequest]) -> list[np.ndarray]:
-    """One :func:`sample_iso_offer` per request, in as few kernel calls as the shapes allow.
+    """One :func:`sample_iso_offer` per request, in one kernel call.
 
     Every request draws its candidates from its own ``rng``, in request
     order, and gets exactly the offer ``sample_iso_offer`` would return for
     it alone. A request whose target is 1 draws nothing and gets its ideal
-    offer. The kernel stacks the clouds of requests with the same issue
-    count, so those share one call.
+    offer. The kernel stacks the clouds of the others, which must all have
+    the same issue count: a scenario's profiles cover all its issues.
     """
     offers: list = [None] * len(requests)
-    groups: dict[int, list[int]] = {}
-    clouds = {}
+    drawing = []
     for i, req in enumerate(requests):
         if not 0.0 <= req.target <= 1.0:
             raise ValueError("target utility must lie in [0, 1]")
         if req.target >= 1.0:
             offers[i] = ideal_offer(req.profile)
-            continue
-        n_issues = req.profile.n_issues
-        groups.setdefault(n_issues, []).append(i)
-        clouds[i] = req.rng.random((CANDIDATE_COUNT, n_issues))
-    for drawing in groups.values():
-        stacked = [requests[i] for i in drawing]
-        # one row per drawing agent: offset, target
-        scalars = np.array([(req.profile.offset, req.target) for req in stacked])
-        points, _, found = _kernels.choose_iso(
-            np.concatenate([clouds[i] for i in drawing]),
-            np.array([req.profile.gradient for req in stacked]),
-            scalars[:, 0],
-            scalars[:, 1],
-            np.full(len(stacked), UTILITY_TOLERANCE),
-            PROJECTION_ITERATIONS,
-            [req.references for req in stacked],
-        )
-        for point, ok, i, req in zip(points, found, drawing, stacked):
-            if ok:
-                # a copy, so that an offer kept in a transcript holds no other agent's
-                offers[i] = point.copy()
-            else:
-                # target effectively unreachable from the sampled cloud; concede nothing
-                logger.debug("no on-target candidate at u=%.6f for %s", req.target, req.profile.name)
-                offers[i] = ideal_offer(req.profile)
+        else:
+            drawing.append(i)
+    if not drawing:
+        return offers
+    stacked = [requests[i] for i in drawing]
+    if len({req.profile.n_issues for req in stacked}) > 1:
+        raise ValueError("requests served together must share their issue count")
+    # one row per drawing agent: offset, target
+    scalars = np.array([(req.profile.offset, req.target) for req in stacked])
+    points, _, found = _kernels.choose_iso(
+        np.concatenate([req.rng.random((CANDIDATE_COUNT, req.profile.n_issues)) for req in stacked]),
+        np.array([req.profile.gradient for req in stacked]),
+        scalars[:, 0],
+        scalars[:, 1],
+        np.full(len(stacked), UTILITY_TOLERANCE),
+        PROJECTION_ITERATIONS,
+        [req.references for req in stacked],
+    )
+    for point, ok, i, req in zip(points, found, drawing, stacked):
+        if ok:
+            # a copy, so that an offer kept in a transcript holds no other agent's
+            offers[i] = point.copy()
+        else:
+            # target effectively unreachable from the sampled cloud; concede nothing
+            logger.debug("no on-target candidate at u=%.6f for %s", req.target, req.profile.name)
+            offers[i] = ideal_offer(req.profile)
     return offers

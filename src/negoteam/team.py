@@ -452,11 +452,19 @@ class TeamConfig:
                 f"got {self.agenda_observation_rounds!r}"
             )
         _check_beta_range(self.beta_range, f"team {self.name!r}")
+        if self.members is None and self.beta_range is None:
+            raise ValueError(f"team {self.name!r} gives no members, so it needs a beta_range")
         for i, spec in enumerate(self.members or ()):
             owner = f"team {self.name!r} member {i}"
             if spec.beta is not None and not (math.isfinite(spec.beta) and spec.beta > 0.0):
                 raise ValueError(f"{owner} beta must be positive and finite, got {spec.beta!r}")
             _check_beta_range(spec.beta_range, owner)
+            if spec.beta is None and spec.beta_range is None and self.beta_range is None:
+                raise ValueError(f"{owner} needs a beta or a beta_range, as the team gives none")
+            if not 0.0 <= spec.reservation_utility <= 1.0:
+                raise ValueError(
+                    f"{owner} reservation_utility must lie in [0, 1], got {spec.reservation_utility!r}"
+                )
 
 
 def member_specs(config: TeamConfig, scenario: Scenario) -> list[MemberSpec]:
@@ -484,8 +492,6 @@ def resolve_members(
             beta = float(spec.beta)
         else:
             beta_range = spec.beta_range or config.beta_range
-            if beta_range is None:
-                raise ValueError(f"{config.name!r}: member needs a beta or a beta_range")
             beta = float(rng.uniform(beta_range[0], beta_range[1]))
         tactic = TimeTactic(beta=beta, reservation_utility=spec.reservation_utility)
         members.append(TeamMember(profile=profile, tactic=tactic))

@@ -343,43 +343,6 @@ def run_tournament(
         return [record for chunk in results for record in chunk]
 
 
-@dataclass
-class PairingAggregate:
-    team: str
-    opponent: str
-    n_sessions: int
-    agreement_rate: float
-    mean_team_average: float
-    mean_team_min: float
-    mean_team_max: float
-    mean_opponent: float
-    mean_joint: float
-
-
-def aggregate(records: Sequence[SessionRecord]) -> list[PairingAggregate]:
-    """Per-pairing means over repetitions, failures included as zeros."""
-    buckets: dict[tuple[str, str], list[SessionRecord]] = {}
-    for rec in records:
-        buckets.setdefault((rec.team, rec.opponent), []).append(rec)
-    out = []
-    for (team, opponent), recs in buckets.items():
-        n = len(recs)
-        out.append(
-            PairingAggregate(
-                team=team,
-                opponent=opponent,
-                n_sessions=n,
-                agreement_rate=sum(r.agreement for r in recs) / n,
-                mean_team_average=sum(r.team_average for r in recs) / n,
-                mean_team_min=sum(r.team_min for r in recs) / n,
-                mean_team_max=sum(r.team_max for r in recs) / n,
-                mean_opponent=sum(r.opponent_utility for r in recs) / n,
-                mean_joint=sum(r.joint_utility for r in recs) / n,
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the default desk experiment
 # ---------------------------------------------------------------------------
@@ -392,16 +355,14 @@ def desk_config(
     master_seed: int = DEFAULT_MASTER_SEED,
     repetitions: int = 10,
     max_rounds: int = 1000,
-    very_boulware_high: float = VERY_BOULWARE_RANGE[1],
 ) -> TournamentConfig:
     """The default experiment: seven team setups against five archetypes.
 
     B teams draw member betas from U(0.5, 0.99), VB teams from
-    U(0.01, very_boulware_high). The representative setup fields a
-    statistics-driven mirror negotiator instead of a time tactic.
+    U(0.01, 0.4). The representative setup fields a statistics-driven
+    mirror negotiator instead of a time tactic.
     """
-    b = BOULWARE_RANGE
-    vb = (VERY_BOULWARE_RANGE[0], very_boulware_high)
+    b, vb = BOULWARE_RANGE, VERY_BOULWARE_RANGE
     teams = [
         TeamConfig(name="FUM B", strategy="FUM", beta_range=b),
         TeamConfig(name="FUM VB", strategy="FUM", beta_range=vb),

@@ -87,8 +87,24 @@ def _without(key):
         {**MINI_CONFIG, "teams": [], "opponents": []},
         {**MINI_CONFIG, "tournament": {"reps": 3}},
         {**MINI_CONFIG, "teams": ["ssv"]},
+        {**MINI_CONFIG, "teams": [{"name": "ssv", "strategy": "SSV"}]},
+        {
+            **MINI_CONFIG,
+            "teams": [
+                {"name": "ssv", "strategy": "SSV", "members": [{"beta": 1.0, "reservation_utility": 2.0}] * 3}
+            ],
+        },
     ],
-    ids=["missing", "no-teams-key", "unknown-scenario", "empty-lists", "unknown-key", "team-not-an-object"],
+    ids=[
+        "missing",
+        "no-teams-key",
+        "unknown-scenario",
+        "empty-lists",
+        "unknown-key",
+        "team-not-an-object",
+        "member-without-beta",
+        "member-reservation-utility-above-one",
+    ],
 )
 def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):
     config_path = tmp_path / "config.json"

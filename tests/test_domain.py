@@ -96,6 +96,16 @@ def test_scenario_roundtrip_through_dict(scenario):
     assert np.array_equal(back.opponent_profile.weights, scenario.opponent_profile.weights)
 
 
+def test_a_profile_reservation_utility_loads_only_as_zero(scenario):
+    doc = scenario_to_dict(scenario)
+    assert [p["reservation_utility"] for p in doc["profiles"]] == [0.0] * 4
+    assert scenario_to_dict(scenario_from_dict(doc)) == doc
+    # no agent reads it: a member spec or a time_tactic opponent's params set one
+    doc["profiles"][1]["reservation_utility"] = 0.9
+    with pytest.raises(ValueError, match="profile 'a2': reservation_utility must be 0; .*member.*time_tactic"):
+        scenario_from_dict(doc)
+
+
 def test_scenario_roundtrip_through_file(tmp_path, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(scenario)), encoding="utf-8")

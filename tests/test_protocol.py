@@ -247,6 +247,17 @@ def test_transcripts_equal_compares_parties_and_the_whole_outcome(scenario, edit
     assert not transcripts_equal(a, _edited(a, edit))
 
 
+def test_outcomes_compare_their_offers_element_wise():
+    def outcome(offer):
+        return Outcome(True, "accepted", offer, {"m": 0.5}, 0.25, 3, "team", 0.2)
+
+    assert outcome(np.zeros(4)) == outcome(np.zeros(4))
+    assert outcome(np.zeros(4)) != outcome(np.array([0.0, 0.0, 1e-9, 0.0]))
+    assert outcome(None) == outcome(None)
+    assert outcome(None) != outcome(np.zeros(4))
+    assert outcome(np.zeros(4)) != None  # noqa: E711
+
+
 def test_first_divergence_names_the_first_differing_action(scenario):
     a = finished_transcript(scenario)
     assert len(a) == 3 and first_divergence(a, a) is None

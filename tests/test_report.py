@@ -155,6 +155,48 @@ def test_failures_drag_down_the_aggregates():
     assert cell["mean_team_average"] == pytest.approx(0.64)
 
 
+def test_a_cell_keeps_failures_in_the_means():
+    base = dict(
+        team="t",
+        opponent="o",
+        seed=0,
+        initiator="team",
+        rounds_used=5,
+        member_utilities={},
+    )
+    records = [
+        SessionRecord(
+            repetition=0,
+            agreement=True,
+            reason="accepted",
+            opponent_utility=0.8,
+            team_average=0.6,
+            team_min=0.5,
+            team_max=0.7,
+            joint_utility=0.24,
+            **base,
+        ),
+        SessionRecord(
+            repetition=1,
+            agreement=False,
+            reason="deadline",
+            opponent_utility=0.0,
+            team_average=0.0,
+            team_min=0.0,
+            team_max=0.0,
+            joint_utility=0.0,
+            **base,
+        ),
+    ]
+    cell = build_report(records)["columns"][0]["cells"]["t"]
+    assert cell["n_sessions"] == 2
+    assert cell["agreement_rate"] == 0.5
+    assert cell["mean_team_average"] == pytest.approx(0.3)
+    assert cell["mean_team_min"] == pytest.approx(0.25)
+    assert cell["mean_opponent"] == pytest.approx(0.4)
+    assert cell["mean_joint"] == pytest.approx(0.12)
+
+
 def test_single_repetition_report_skips_statistics():
     records = [record("good", "alpha", 0, 0.8), record("bad", "alpha", 0, 0.1)]
     report = build_report(records)

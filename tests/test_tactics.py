@@ -17,12 +17,11 @@ from negoteam.tactics import (
 )
 
 
-def make_profile(weights, directions, ru=0.0, name="p"):
+def make_profile(weights, directions, name="p"):
     return PreferenceProfile(
         name=name,
         weights=np.asarray(weights, dtype=np.float64),
         directions=tuple(directions),
-        reservation_utility=ru,
     )
 
 
@@ -155,13 +154,11 @@ def test_sample_on_target_property(target, seed):
     assert abs(u - target) <= 1e-6 or np.array_equal(offer, ideal_offer(profile))
 
 
-def test_stacked_sampling_mixes_issue_counts_and_references(scenario):
-    # requests with different issue counts and reference sets come in one
-    # batch, which the kernel serves in one call per issue count, and each
-    # gets exactly what it would get alone
-    two_issues = make_profile([0.6, 0.4], ["increasing", "decreasing"], name="two")
-    profiles = [*scenario.team_profiles, two_issues]
-    refs = [(), [np.full(4, 0.3)], [np.full(4, 0.3), np.full(4, 0.8)], [np.full(2, 0.5)]]
+def test_stacked_sampling_mixes_issue_counts_and_references(scenario, monkeypatch):
+    # requests with different reference sets come in one batch, which the
+    # kernel serves in one call, and each gets exactly what it would get alone
+    profiles = [*scenario.team_profiles, scenario.opponent_profile]
+    refs = [(), [np.full(4, 0.3)], [np.full(4, 0.3), np.full(4, 0.8)], [np.full(4, 0.5)]]
     requests = [
         SampleRequest(profiles[i % 4], target, refs[i % 4], np.random.default_rng(i))
         for i, target in enumerate([0.5, 0.7, 1.0, 0.2, 0.9, 0.6, 0.4, 0.8])
@@ -177,6 +174,16 @@ def test_stacked_sampling_mixes_issue_counts_and_references(scenario):
     assert requests[2].rng.random() == np.random.default_rng(2).random()
     with pytest.raises(ValueError):
         sample_iso_offers([req._replace(target=1.5) for req in requests[:2]])
+    # a scenario's profiles share their issues, so one batch never mixes issue counts
+    two_issues = make_profile([0.6, 0.4], ["increasing", "decreasing"], name="two")
+    mixed = [*requests[:2], SampleRequest(two_issues, 0.5, (), np.random.default_rng(9))]
+    with pytest.raises(ValueError, match="issue count"):
+        sample_iso_offers(mixed)
+    # a batch of target-1 requests alone makes no kernel call
+    monkeypatch.setattr(_kernels, "choose_iso", None)
+    ideals = sample_iso_offers([req._replace(target=1.0) for req in mixed])
+    for offer, req in zip(ideals, mixed):
+        assert np.array_equal(offer, ideal_offer(req.profile))
 
 
 # --- candidate selection (runs in _kernels.choose_iso) ---

@@ -428,9 +428,9 @@ def test_resolve_members_validates_counts_and_ranges(scenario):
     )
     with pytest.raises(ValueError):
         resolve_members(too_many, scenario, np.random.default_rng(0))
-    missing = TeamConfig(name="bad", strategy="SSV")
-    with pytest.raises(ValueError):
-        resolve_members(missing, scenario, np.random.default_rng(0))
+    # a team that leaves a member without a beta fails when it is configured
+    with pytest.raises(ValueError, match="'bad' gives no members, so it needs a beta_range"):
+        TeamConfig(name="bad", strategy="SSV")
 
 
 def test_unknown_strategy_rejected():

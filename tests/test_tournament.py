@@ -20,9 +20,7 @@ from negoteam.team import STRATEGIES, MemberSpec, TeamConfig, team_config_from_d
 from negoteam.tournament import (
     DEFAULT_MASTER_SEED,
     OpponentConfig,
-    SessionRecord,
     TournamentConfig,
-    aggregate,
     derive_seed,
     desk_config,
     rebuild_session,
@@ -330,48 +328,6 @@ def test_lockstep_chunks_match_sessions_played_one_at_a_time(monkeypatch, tmp_pa
         assert transcript_to_dict(written) == json.loads(json.dumps(transcript_to_dict(alone_transcript)))
 
 
-def test_aggregate_keeps_failures_in_the_means():
-    base = dict(
-        team="t",
-        opponent="o",
-        seed=0,
-        initiator="team",
-        rounds_used=5,
-        member_utilities={},
-    )
-    records = [
-        SessionRecord(
-            repetition=0,
-            agreement=True,
-            reason="accepted",
-            opponent_utility=0.8,
-            team_average=0.6,
-            team_min=0.5,
-            team_max=0.7,
-            joint_utility=0.24,
-            **base,
-        ),
-        SessionRecord(
-            repetition=1,
-            agreement=False,
-            reason="deadline",
-            opponent_utility=0.0,
-            team_average=0.0,
-            team_min=0.0,
-            team_max=0.0,
-            joint_utility=0.0,
-            **base,
-        ),
-    ]
-    (agg,) = aggregate(records)
-    assert agg.n_sessions == 2
-    assert agg.agreement_rate == 0.5
-    assert agg.mean_team_average == pytest.approx(0.3)
-    assert agg.mean_team_min == pytest.approx(0.25)
-    assert agg.mean_opponent == pytest.approx(0.4)
-    assert agg.mean_joint == pytest.approx(0.12)
-
-
 def test_config_validation():
     scenario = hotel_booking()
     with pytest.raises(ValueError):
@@ -469,6 +425,24 @@ def test_load_rejects_a_fixed_member_beta_that_is_not_positive():
     doc = desk_doc()
     doc["teams"][3]["members"] = [{"beta": 1.0}, {"beta": 0.0}, {"beta": 1.0}]
     with pytest.raises(ValueError, match="'SSV B' member 1 beta must be positive"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_a_member_left_without_a_beta():
+    doc = desk_doc()
+    del doc["teams"][3]["beta_range"]
+    doc["teams"][3]["members"] = [{"beta": 1.0}, {"reservation_utility": 0.1}, {"beta_range": [0.5, 0.9]}]
+    with pytest.raises(ValueError, match="'SSV B' member 1 needs a beta or a beta_range"):
+        tournament_config_from_dict(doc)
+    del doc["teams"][3]["members"]
+    with pytest.raises(ValueError, match="'SSV B' gives no members, so it needs a beta_range"):
+        tournament_config_from_dict(doc)
+
+
+def test_load_rejects_a_member_reservation_utility_outside_zero_one():
+    doc = desk_doc()
+    doc["teams"][3]["members"] = [{"beta": 1.0}, {"beta": 1.0}, {"beta": 1.0, "reservation_utility": 2.0}]
+    with pytest.raises(ValueError, match=r"'SSV B' member 2 reservation_utility must lie in \[0, 1\]"):
         tournament_config_from_dict(doc)
 
 
