@@ -44,11 +44,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _error(args.config or "built-in experiment", exc)
 
     out_dir = Path(args.out)
+    transcripts_dir = None if args.no_transcripts else out_dir / "transcripts"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if transcripts_dir is not None:
+            transcripts_dir.mkdir(exist_ok=True)
+        # a directory where an output file goes would fail only after the run
+        for path in (out_dir / "sessions.csv", out_dir / "report.md"):
+            if path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory, not a file the run can write")
     except OSError as exc:
         return _error(out_dir, exc)
-    records = run_tournament(config, transcripts_dir=None if args.no_transcripts else out_dir / "transcripts")
+    records = run_tournament(config, transcripts_dir=transcripts_dir)
 
     write_sessions_csv(records, out_dir / "sessions.csv")
     (out_dir / "report.md").write_text(render_markdown(build_report(records)), encoding="utf-8")

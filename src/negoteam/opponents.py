@@ -90,18 +90,13 @@ class OfferBeliefs:
 class _BilateralAgent(Party):
     """Shared plumbing: profile, RNG, received-offer tracking."""
 
-    def __init__(
-        self,
-        profile: PreferenceProfile,
-        rng: np.random.Generator,
-        name: str = "opponent",
-    ) -> None:
+    name = "opponent"
+
+    def __init__(self, profile: PreferenceProfile, rng: np.random.Generator) -> None:
         self.profile = profile
         self.rng = rng
-        self.name = name
         self.beliefs = OfferBeliefs()
         self.last_received: np.ndarray | None = None
-        self.last_sent: np.ndarray | None = None
 
     @property
     def utility_profiles(self) -> Mapping[str, PreferenceProfile]:
@@ -114,7 +109,6 @@ class _BilateralAgent(Party):
     def _propose(self, target: float, references: list[np.ndarray]) -> Decision:
         """Ask for an offer at ``target`` near ``references`` and propose it."""
         (offer,) = yield [SampleRequest(self.profile, target, references, self.rng)]
-        self.last_sent = offer
         return Action.propose(offer)
 
 
@@ -131,12 +125,12 @@ class TimeTacticNegotiator(_BilateralAgent):
         profile: PreferenceProfile,
         tactic: TimeTactic,
         rng: np.random.Generator,
-        name: str = "opponent",
         use_own_reference: bool = False,
     ) -> None:
-        super().__init__(profile, rng, name)
+        super().__init__(profile, rng)
         self.tactic = tactic
         self.use_own_reference = use_own_reference
+        self.last_sent: np.ndarray | None = None
 
     def decide(self, t: float) -> Decision:
         s = demand(self.tactic, t)
@@ -147,7 +141,9 @@ class TimeTacticNegotiator(_BilateralAgent):
             refs.append(self.last_received)
         if self.use_own_reference and self.last_sent is not None:
             refs.append(self.last_sent)
-        return (yield from self._propose(s, refs))
+        action = yield from self._propose(s, refs)
+        self.last_sent = action.offer
+        return action
 
 
 class CrazyHaggler(_BilateralAgent):
@@ -166,9 +162,8 @@ class CrazyHaggler(_BilateralAgent):
         profile: PreferenceProfile,
         rng: np.random.Generator,
         threshold: float = 0.9,
-        name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, name)
+        super().__init__(profile, rng)
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
         self.threshold = threshold
@@ -195,9 +190,8 @@ class AgentKLike(_BilateralAgent):
         profile: PreferenceProfile,
         rng: np.random.Generator,
         gamma: float = 3.0,
-        name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, name)
+        super().__init__(profile, rng)
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
         self.gamma = gamma
@@ -211,9 +205,7 @@ class AgentKLike(_BilateralAgent):
         if self.last_received is not None and self.beliefs.last_utility >= target:
             return Action.accept()
         if self.beliefs.best_offer is not None and self.beliefs.best_utility >= target:
-            offer = self.beliefs.best_offer.copy()
-            self.last_sent = offer
-            return Action.propose(offer)
+            return Action.propose(self.beliefs.best_offer.copy())
         refs = [self.last_received] if self.last_received is not None else []
         return (yield from self._propose(target, refs))
 
@@ -232,9 +224,8 @@ class SmithLike(_BilateralAgent):
         rng: np.random.Generator,
         final_phase: float = 2.0 / 3.0,
         floor: float = 0.5,
-        name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, name)
+        super().__init__(profile, rng)
         if not 0.0 < final_phase < 1.0:
             raise ValueError("final_phase must lie in (0, 1)")
         if not 0.0 <= floor <= 1.0:
@@ -249,9 +240,7 @@ class SmithLike(_BilateralAgent):
         if t >= self.final_phase and self.beliefs.best_offer is not None:
             if self.last_received is not None and self.beliefs.last_utility >= self.beliefs.best_utility:
                 return Action.accept()
-            offer = self.beliefs.best_offer.copy()
-            self.last_sent = offer
-            return Action.propose(offer)
+            return Action.propose(self.beliefs.best_offer.copy())
         target = self.target(t)
         if self.last_received is not None and self.beliefs.last_utility >= target:
             return Action.accept()
@@ -279,9 +268,8 @@ class NiceTitForTat(_BilateralAgent):
         nash_floor: float = 0.5,
         endgame: float = 0.95,
         reciprocity_gain: float = 3.0,
-        name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, name)
+        super().__init__(profile, rng)
         if not 0.0 <= nash_floor <= 1.0:
             raise ValueError("nash_floor must lie in [0, 1]")
         if not 0.0 < endgame <= 1.0:
@@ -327,11 +315,8 @@ class HagglerAdaptive(_BilateralAgent):
         base: float = 0.85,
         slope: float = 0.25,
         sigma_mult: float = 2.0,
-        name: str = "opponent",
     ) -> None:
-        super().__init__(profile, rng, name)
-        if not all(math.isfinite(v) for v in (base, slope, sigma_mult)):
-            raise ValueError("base, slope and sigma_mult must be finite")
+        super().__init__(profile, rng)
         self.base = base
         self.slope = slope
         self.sigma_mult = sigma_mult
@@ -348,9 +333,9 @@ class HagglerAdaptive(_BilateralAgent):
         return (yield from self._propose(min(max(target, 0.0), 1.0), refs))
 
 
-def _build_time_tactic(profile, rng, name="opponent", beta=1.0, reservation_utility=0.0):
+def _build_time_tactic(profile, rng, beta=1.0, reservation_utility=0.0):
     tactic = TimeTactic(beta=beta, reservation_utility=reservation_utility)
-    return TimeTacticNegotiator(profile, tactic, rng, name)
+    return TimeTacticNegotiator(profile, tactic, rng)
 
 
 # each archetype's constructor; its keyword parameters are the archetype's params
@@ -369,20 +354,19 @@ def build_opponent(
     profile: PreferenceProfile,
     rng: np.random.Generator,
     params: dict | None = None,
-    name: str = "opponent",
 ) -> Party:
     """Instantiate an archetype by name with its parameter map.
 
     Raises ValueError for an unknown archetype, a parameter the archetype
-    does not take, or a value its constructor rejects.
+    does not take, a value that is not a finite number, or a value its
+    constructor rejects.
     """
     try:
         factory = ARCHETYPES[archetype]
     except KeyError:
         known = ", ".join(sorted(ARCHETYPES))
         raise ValueError(f"unknown archetype {archetype!r}; known: {known}") from None
-    shared = ("profile", "rng", "name")
-    accepted = [p for p in inspect.signature(factory).parameters if p not in shared]
+    accepted = [p for p in inspect.signature(factory).parameters if p not in ("profile", "rng")]
     params = dict(params or {})
     unknown = sorted(set(params) - set(accepted))
     if unknown:
@@ -393,4 +377,7 @@ def build_opponent(
         values = {key: float(value) for key, value in params.items()}
     except (TypeError, ValueError):
         raise ValueError(f"archetype {archetype!r} parameters must be numbers, got {params!r}") from None
-    return factory(profile, rng, name=name, **values)
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"archetype {archetype!r} parameter {key!r} must be finite, got {value!r}")
+    return factory(profile, rng, **values)

@@ -69,7 +69,7 @@ Decision = Generator[list[SampleRequest], list[np.ndarray], Action]
 class Party(ABC):
     """A negotiating party: deterministic given its seed and what it has seen."""
 
-    name: str
+    name: str  # "team" or "opponent", as a transcript records the party's actions
 
     @property
     @abstractmethod

@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import PreferenceProfile, Scenario, check_keys, utility_unchecked
 from .opponents import ARCHETYPES, TimeTacticNegotiator, build_opponent
-from .protocol import Action, ActionKind, Decision, Party
+from .protocol import Action, Decision, Party
 from .tactics import SampleRequest, TimeTactic, demand
 
 # a team's proposal, asked for as a Decision asks, returning the offer
@@ -193,14 +193,14 @@ def derive_team_streams(seed: int, n_members: int) -> tuple[np.random.Generator,
 class TeamParty(Party):
     """Base mediator: tracks dialogue state, defers decisions to a strategy."""
 
+    name = "team"
     strategy = "?"
 
-    def __init__(self, members: Sequence[TeamMember], seed: int, name: str = "team") -> None:
+    def __init__(self, members: Sequence[TeamMember], seed: int) -> None:
         if not members:
             raise ValueError("a team needs at least one member")
         self.members = list(members)
         self.seed = int(seed)
-        self.name = name
         self.mediator_rng, self.member_rngs = derive_team_streams(self.seed, len(self.members))
         self.opponent_offers: list[np.ndarray] = []
         self.last_team_offer: np.ndarray | None = None
@@ -301,10 +301,9 @@ class UnanimityBuildTeam(TeamParty):
         self,
         members: Sequence[TeamMember],
         seed: int,
-        name: str = "team",
         agenda_observation_rounds: int = 5,
     ) -> None:
-        super().__init__(members, seed, name)
+        super().__init__(members, seed)
         if agenda_observation_rounds < 1:
             raise ValueError("agenda_observation_rounds must be positive")
         self.agenda_observation_rounds = agenda_observation_rounds
@@ -328,9 +327,9 @@ class UnanimityBuildTeam(TeamParty):
 class RepresentativeTeam(TeamParty):
     """One member, drawn once per session, negotiates on the team's behalf.
 
-    The representative may run its regular member behaviour or any bilateral
-    archetype; the mediator forwards everything verbatim, so the session is
-    indistinguishable from the representative negotiating alone.
+    The representative runs its regular member behaviour, or any bilateral
+    archetype. The mediator hands it every offer and every turn, so the
+    session is the representative negotiating alone.
     """
 
     strategy = "RE"
@@ -339,55 +338,23 @@ class RepresentativeTeam(TeamParty):
         self,
         members: Sequence[TeamMember],
         seed: int,
-        name: str = "team",
         behavior: str = "time_tactic",
         behavior_params: dict | None = None,
     ) -> None:
-        super().__init__(members, seed, name)
-        self.behavior = behavior
-        self.behavior_params = dict(behavior_params or {})
+        super().__init__(members, seed)
         self.representative_index = int(self.mediator_rng.integers(len(self.members)))
-        self._inner = self._build_inner(
-            self.members[self.representative_index],
-            self.member_rngs[self.representative_index],
-        )
-
-    def _build_inner(self, member: TeamMember, rng: np.random.Generator) -> Party:
-        if self.behavior == "time_tactic":
-            return TimeTacticNegotiator(
-                member.profile,
-                member.tactic,
-                rng,
-                name=self.name,
-                use_own_reference=True,
-            )
-        return build_opponent(
-            self.behavior,
-            member.profile,
-            rng,
-            params=self.behavior_params,
-            name=self.name,
-        )
-
-    def lone_twin(self) -> Party:
-        """A fresh standalone copy of the representative, identically seeded.
-
-        Running it against an identically seeded opponent reproduces the
-        team's transcript action for action.
-        """
-        mediator_rng, member_rngs = derive_team_streams(self.seed, len(self.members))
-        rep = int(mediator_rng.integers(len(self.members)))
-        return self._build_inner(self.members[rep], member_rngs[rep])
+        member = self.members[self.representative_index]
+        rng = self.member_rngs[self.representative_index]
+        if behavior == "time_tactic":
+            self._representative = TimeTacticNegotiator(member.profile, member.tactic, rng, use_own_reference=True)
+        else:
+            self._representative = build_opponent(behavior, member.profile, rng, behavior_params)
 
     def receive_offer(self, offer: np.ndarray, t: float) -> None:
-        super().receive_offer(offer, t)
-        self._inner.receive_offer(offer, t)
+        self._representative.receive_offer(offer, t)
 
     def decide(self, t: float) -> Decision:
-        action = yield from self._inner.decide(t)
-        if action.kind is ActionKind.PROPOSE:
-            self.last_team_offer = action.offer
-        return action
+        return self._representative.decide(t)
 
 
 STRATEGIES: dict[str, type[TeamParty]] = {
@@ -502,22 +469,15 @@ def make_team_party(
     config: TeamConfig,
     members: Sequence[TeamMember],
     seed: int,
-    name: str = "team",
 ) -> TeamParty:
     cls = STRATEGIES[config.strategy]
     if cls is UnanimityBuildTeam:
-        return UnanimityBuildTeam(
-            members, seed, name, agenda_observation_rounds=config.agenda_observation_rounds
-        )
+        return UnanimityBuildTeam(members, seed, agenda_observation_rounds=config.agenda_observation_rounds)
     if cls is RepresentativeTeam:
         return RepresentativeTeam(
-            members,
-            seed,
-            name,
-            behavior=config.representative_behavior,
-            behavior_params=config.representative_params,
+            members, seed, behavior=config.representative_behavior, behavior_params=config.representative_params
         )
-    return cls(members, seed, name)
+    return cls(members, seed)
 
 
 def team_config_to_dict(config: TeamConfig) -> dict:

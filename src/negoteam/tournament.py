@@ -351,11 +351,7 @@ BOULWARE_RANGE = (0.5, 0.99)
 VERY_BOULWARE_RANGE = (0.01, 0.4)
 
 
-def desk_config(
-    master_seed: int = DEFAULT_MASTER_SEED,
-    repetitions: int = 10,
-    max_rounds: int = 1000,
-) -> TournamentConfig:
+def desk_config(repetitions: int = 10, max_rounds: int = 1000) -> TournamentConfig:
     """The default experiment: seven team setups against five archetypes.
 
     B teams draw member betas from U(0.5, 0.99), VB teams from
@@ -385,7 +381,6 @@ def desk_config(
         opponents=opponents,
         repetitions=repetitions,
         max_rounds=max_rounds,
-        master_seed=master_seed,
     )
 
 

@@ -190,7 +190,7 @@ def test_unanimity_team_acceptances_clear_every_member_demand(tmp_path):
     assert team_acceptances > 0
 
 
-def test_representative_teams_reproduce_the_lone_negotiator():
+def test_representative_teams_reproduce_the_lone_negotiator(lone_twin):
     behaviors = ["time_tactic", "agent_k_like"]
     archetypes = list(DESK_OPPONENTS.values())
     for rep in range(50):
@@ -205,7 +205,7 @@ def test_representative_teams_reproduce_the_lone_negotiator():
             SCENARIO, team_cfg, opp_cfg, rep, DEFAULT_MASTER_SEED, max_rounds=200
         )
         team_party, opponent_party, config = rebuild_session(transcript.config)
-        twin = team_party.lone_twin()
+        twin = lone_twin(team_party.members, team_party.seed, team_cfg.representative_behavior)
         alone, _ = run_session(twin, opponent_party, config)
         # the twin scores only its own agent; scored for the whole team, its
         # session must be the team's, outcome and all

@@ -94,6 +94,11 @@ def _without(key):
                 {"name": "ssv", "strategy": "SSV", "members": [{"beta": 1.0, "reservation_utility": 2.0}] * 3}
             ],
         },
+        # json writes and reads NaN, which Python's float() takes
+        {
+            **MINI_CONFIG,
+            "opponents": [{"name": "tt", "archetype": "time_tactic", "params": {"beta": float("nan")}}],
+        },
     ],
     ids=[
         "missing",
@@ -104,6 +109,7 @@ def _without(key):
         "team-not-an-object",
         "member-without-beta",
         "member-reservation-utility-above-one",
+        "non-finite-archetype-parameter",
     ],
 )
 def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):
@@ -131,6 +137,28 @@ def test_run_fails_cleanly_on_an_out_path_that_is_a_file(tmp_path, capsys, monke
     assert main(["run", "--config", str(config_path), "--out", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {taken}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "blocker, make",
+    [("transcripts", lambda path: path.write_text("", encoding="utf-8")), ("sessions.csv", Path.mkdir)],
+    ids=["file-where-transcripts-go", "directory-where-sessions-csv-goes"],
+)
+def test_run_fails_cleanly_on_an_unusable_path_inside_out(tmp_path, capsys, monkeypatch, blocker, make):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(MINI_CONFIG), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    make(out_dir / blocker)
+
+    def play(*args, **kwargs):
+        raise AssertionError("a session was played")
+
+    monkeypatch.setattr(cli, "run_tournament", play)
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_dir}: ")
     assert len(err.splitlines()) == 1
 
 

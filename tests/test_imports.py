@@ -65,14 +65,26 @@ def play():
     transcript, _ = protocol.run_session(*tournament.rebuild_session(meta), meta)
     return protocol.transcript_to_dict(transcript)
 
+def act_once():
+    # an RE K team's representative and its opponent are both agent_k_like
+    team = TeamConfig(name="re k", strategy="RE", beta_range=(0.5, 0.99), representative_behavior="agent_k_like")
+    opponent = OpponentConfig(name="k", archetype="agent_k_like")
+    meta = tournament._session_meta(hotel_booking(), team, opponent, 0, 7, 20)
+    team_party, opponent_party, _ = tournament.rebuild_session(meta)
+    team_party.choose_action(0.0)
+    opponent_party.choose_action(0.0)
+
 untraced = play()
 tracer = tracing.install()
 traced = play()
+act_once()
 tracer.uninstall()
+layers = tracer.layer_times()
 print(json.dumps({
     "equal": traced == untraced,
-    "sessions": tracer.layer_times()["protocol.run_session"]["calls"],
+    "sessions": layers["protocol.run_session"]["calls"],
     "rounds": tracer.counts["protocol.rounds"],
+    "choose_action": {name: row["calls"] for name, row in layers.items() if name.endswith(".choose_action")},
 }))
 """
 
@@ -103,3 +115,5 @@ def test_perfbench_tracer_wraps_a_session_without_changing_it():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["equal"]
     assert result["sessions"] == 1 and 0 < result["rounds"] <= 20
+    # the tracer finds RE by its strategy and tells an opponent by its name
+    assert result["choose_action"] == {"team.RE.choose_action": 1, "opponents.agent_k_like.choose_action": 1}

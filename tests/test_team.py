@@ -373,7 +373,7 @@ def test_representative_draw_is_seed_stable():
     assert all_picks == {0, 1, 2}
 
 
-def test_representative_session_matches_lone_twin():
+def test_representative_session_matches_lone_twin(lone_twin):
     members = make_members([0.5, 1.0, 2.0])
     config = SessionConfig(max_rounds=40)
     for seed in (3, 11, 29):
@@ -383,8 +383,7 @@ def test_representative_session_matches_lone_twin():
         )
         with_team, _ = run_session(team, opp, config)
 
-        twin = team.lone_twin()
-        twin.name = "team"
+        twin = lone_twin(members, seed)
         opp2 = TimeTacticNegotiator(
             opposing_profile(), TimeTactic(beta=1.0), np.random.default_rng(seed + 1000)
         )

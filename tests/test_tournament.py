@@ -1,8 +1,10 @@
 """Seed derivation, session reproducibility and the tournament harness."""
 
 import gc
+import inspect
 import json
 import os
+import re
 import tracemalloc
 from concurrent import futures
 
@@ -462,6 +464,32 @@ def test_load_rejects_non_finite_haggler_parameters(key, value):
     doc = desk_doc()
     doc["opponents"][1]["params"] = {key: value}
     with pytest.raises(ValueError, match="opponent 'Haggler': .*finite"):
+        tournament_config_from_dict(doc)
+
+
+# every parameter of every archetype, as a config names it
+ARCHETYPE_PARAMETERS = [
+    (archetype, key)
+    for archetype, factory in ARCHETYPES.items()
+    for key in inspect.signature(factory).parameters
+    if key not in ("profile", "rng")
+]
+
+
+@pytest.mark.parametrize("archetype, key", ARCHETYPE_PARAMETERS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_load_rejects_a_non_finite_archetype_parameter(archetype, key, value):
+    doc = desk_doc()
+    doc["opponents"][0].update(archetype=archetype, params={key: value})
+    message = f"opponent 'Crazy': archetype '{archetype}' parameter '{key}' must be finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tournament_config_from_dict(doc)
+    if archetype == "time_tactic":
+        return  # a time-tactic representative takes no params
+    doc = desk_doc()
+    doc["teams"][2].update(representative_behavior=archetype, representative_params={key: value})
+    message = f"team 'RE K' representative: archetype '{archetype}' parameter '{key}' must be finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
         tournament_config_from_dict(doc)
 
 
