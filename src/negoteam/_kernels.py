@@ -3,9 +3,9 @@
 One kernel call serves J agents at once. Their candidate clouds are stacked
 row-wise, m rows per agent, and every agent brings its own gradient, offset,
 target and tolerance. Per agent the arithmetic is exactly that of projecting
-its own cloud alone: the same fixed steps, the same stop rule, the same BLAS
-matrix-vector products on its own rows and the same selection. So a stacked
-call returns bit-identical results to J single-agent calls.
+its own cloud alone: the same fixed steps, the same BLAS matrix-vector
+products on its own rows and the same selection. So a stacked call returns
+bit-identical results to J single-agent calls.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ def project_iso(cands, grads, offsets, targets, tols, max_iter):
     (J, n); ``offsets``, ``targets`` and ``tols`` are length J. Agent j's
     utility is offsets[j] + grads[j] . x. Every candidate is stepped along its
     agent's gradient onto the plane utility == target, clipped to [0, 1]^n,
-    and re-projected. An agent stops when none of its candidates is off target
-    or none of its utilities moved in the last step; the others go on until
-    ``max_iter`` steps are spent.
+    and re-projected, for exactly ``max_iter`` steps. A candidate within its
+    agent's tolerance of the target gets a zero step.
 
     Returns (points (J, m, n), utilities (J, m), valid (J, m)), where ``valid``
     flags candidates within the tolerance of their agent's target.
@@ -42,26 +41,11 @@ def project_iso(cands, grads, offsets, targets, tols, max_iter):
     columns = grads[:, :, None]
     products = np.empty((n_agents, out.shape[1], 1))
     products_2d = products[:, :, 0]
-    utils_prev = None
     for _ in range(max_iter):
         np.matmul(out, columns, out=products)
         utils = offsets + products_2d
         miss = targets - utils
-        active = np.abs(miss) > tols
-        # an agent goes on while some candidate is off target and some utility
-        # moved (else it is stuck on a box face, where the step is a fixed
-        # point); a stopped agent's rows get a zero step, which leaves them as
-        # they are, so it stays stopped
-        running = active.any(axis=1)
-        if utils_prev is not None:
-            running &= (utils != utils_prev).any(axis=1)
-        n_running = np.count_nonzero(running)
-        if n_running == 0:
-            break
-        if n_running < n_agents:
-            active &= running[:, None]
-        utils_prev = utils
-        step = np.where(active, miss, 0.0) / gg
+        step = np.where(np.abs(miss) > tols, miss, 0.0) / gg
         # the same products as np.outer(step, grad), laid out as ``flat``
         flat += np.repeat(step, n_issues, axis=1) * grad_rows
         # np.clip's value, without its per-call overhead

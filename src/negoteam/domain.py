@@ -171,6 +171,14 @@ def check_keys(doc: dict, known: Iterable[str], block: str) -> None:
         raise ValueError(f"{block}: unknown key {unknown[0]!r}; known: {', '.join(known)}")
 
 
+def check_number(value: object, block: str, key: str, integer: bool = False):
+    """Return ``value`` when it is an int (or, unless ``integer``, a float) and not a bool;
+    else raise ValueError naming ``block`` and ``key``, so ``true`` or ``"7"`` fails at load."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{block}: {key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
 def _profile_to_dict(profile: PreferenceProfile, role: str) -> dict:
     return {
         "name": profile.name,
@@ -183,13 +191,12 @@ def _profile_to_dict(profile: PreferenceProfile, role: str) -> dict:
 
 
 def _profile_from_dict(doc: dict) -> PreferenceProfile:
-    check_keys(
-        doc, ("name", "role", "weights", "directions", "reservation_utility"), f"profile {doc['name']!r}"
-    )
-    if float(doc.get("reservation_utility", 0.0)) != 0.0:
+    block = f"profile {doc['name']!r}"
+    check_keys(doc, ("name", "role", "weights", "directions", "reservation_utility"), block)
+    if check_number(doc.get("reservation_utility", 0.0), block, "reservation_utility") != 0.0:
         # no agent reads a profile's reservation utility; accepting one would ignore it
         raise ValueError(
-            f"profile {doc['name']!r}: reservation_utility must be 0; set a reservation utility "
+            f"{block}: reservation_utility must be 0; set a reservation utility "
             "in a team member's spec, or in a time_tactic opponent's params"
         )
     return PreferenceProfile(

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import PreferenceProfile, utility_unchecked
+from .domain import PreferenceProfile, check_number, utility_unchecked
 from .protocol import Action, Decision, Party
 from .tactics import SampleRequest, TimeTactic, demand
 
@@ -358,8 +358,8 @@ def build_opponent(
     """Instantiate an archetype by name with its parameter map.
 
     Raises ValueError for an unknown archetype, a parameter the archetype
-    does not take, a value that is not a finite number, or a value its
-    constructor rejects.
+    does not take, a value that is not a finite int or float (a bool is
+    not), or a value its constructor rejects.
     """
     try:
         factory = ARCHETYPES[archetype]
@@ -373,11 +373,9 @@ def build_opponent(
         raise ValueError(
             f"archetype {archetype!r} takes no parameter {unknown[0]!r}; it takes: {', '.join(accepted)}"
         )
-    try:
-        values = {key: float(value) for key, value in params.items()}
-    except (TypeError, ValueError):
-        raise ValueError(f"archetype {archetype!r} parameters must be numbers, got {params!r}") from None
-    for key, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"archetype {archetype!r} parameter {key!r} must be finite, got {value!r}")
+    values = {}
+    for key, value in params.items():
+        values[key] = float(check_number(value, f"archetype {archetype!r}", f"parameter {key!r}"))
+        if not math.isfinite(values[key]):
+            raise ValueError(f"archetype {archetype!r} parameter {key!r} must be finite, got {values[key]!r}")
     return factory(profile, rng, **values)

@@ -22,7 +22,7 @@ from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
-from .domain import PreferenceProfile, Scenario, check_keys, utility_unchecked
+from .domain import PreferenceProfile, Scenario, check_keys, check_number, utility_unchecked
 from .opponents import ARCHETYPES, TimeTacticNegotiator, build_opponent
 from .protocol import Action, Decision, Party
 from .tactics import SampleRequest, TimeTactic, demand
@@ -191,7 +191,7 @@ def derive_team_streams(seed: int, n_members: int) -> tuple[np.random.Generator,
 
 
 class TeamParty(Party):
-    """Base mediator: tracks dialogue state, defers decisions to a strategy."""
+    """Base mediator: the members and their streams; a strategy decides."""
 
     name = "team"
     strategy = "?"
@@ -202,12 +202,23 @@ class TeamParty(Party):
         self.members = list(members)
         self.seed = int(seed)
         self.mediator_rng, self.member_rngs = derive_team_streams(self.seed, len(self.members))
-        self.opponent_offers: list[np.ndarray] = []
-        self.last_team_offer: np.ndarray | None = None
 
     @property
     def utility_profiles(self) -> Mapping[str, PreferenceProfile]:
         return {m.profile.name: m.profile for m in self.members}
+
+
+class VotingTeam(TeamParty):
+    """A mediator that accepts when ``accepts`` passes its members' votes, else
+    proposes the member candidate that ``pick`` chooses from the members x
+    proposals utility matrix, unless a subclass overrides :meth:`_propose`."""
+
+    accepts = staticmethod(unanimity_accepts)
+
+    def __init__(self, members: Sequence[TeamMember], seed: int) -> None:
+        super().__init__(members, seed)
+        self.opponent_offers: list[np.ndarray] = []
+        self.last_team_offer: np.ndarray | None = None
 
     @property
     def last_opponent_offer(self) -> np.ndarray | None:
@@ -217,41 +228,32 @@ class TeamParty(Party):
         self.opponent_offers.append(offer)
 
     def member_references(self) -> list[np.ndarray]:
-        refs = []
-        if self.last_opponent_offer is not None:
-            refs.append(self.last_opponent_offer)
-        if self.last_team_offer is not None:
-            refs.append(self.last_team_offer)
-        return refs
+        return [offer for offer in (self.last_opponent_offer, self.last_team_offer) if offer is not None]
 
     def member_requests(self, t: float) -> list[SampleRequest]:
         """Every member's ask for a candidate offer at its demand, near the same references."""
         refs = self.member_references()
-        return [
-            SampleRequest(m.profile, m.demand(t), refs, rng)
-            for m, rng in zip(self.members, self.member_rngs)
-        ]
+        return [SampleRequest(m.profile, m.demand(t), refs, rng) for m, rng in zip(self.members, self.member_rngs)]
 
     def accept_votes(self, offer: np.ndarray, t: float) -> list[bool]:
         return [m.utility(offer) >= m.demand(t) for m in self.members]
 
     def decide(self, t: float) -> Decision:
         standing = self.last_opponent_offer
-        if standing is not None and self._accepts(standing, t):
+        if standing is not None and self.accepts(self.accept_votes(standing, t)):
             return Action.accept()
         offer = yield from self._propose(t)
         self.last_team_offer = offer
         return Action.propose(offer)
 
-    def _accepts(self, offer: np.ndarray, t: float) -> bool:
-        raise NotImplementedError
-
     def _propose(self, t: float) -> Proposal:
         """The team's proposal at t, asked for as :meth:`decide` asks."""
-        raise NotImplementedError
+        proposals = yield self.member_requests(t)
+        utilities = np.array([[m.utility(p) for p in proposals] for m in self.members])
+        return proposals[self.pick(utilities)]
 
 
-class SimilarityVotingTeam(TeamParty):
+class SimilarityVotingTeam(VotingTeam):
     """Majority acceptance; plurality over member proposals.
 
     A member marks a candidate proposal acceptable when it is worth at least
@@ -259,36 +261,22 @@ class SimilarityVotingTeam(TeamParty):
     """
 
     strategy = "SSV"
+    accepts = staticmethod(majority_accepts)
 
-    def _accepts(self, offer: np.ndarray, t: float) -> bool:
-        return majority_accepts(self.accept_votes(offer, t))
-
-    def _propose(self, t: float) -> Proposal:
-        proposals = yield self.member_requests(t)
-        n = len(proposals)
-        marks = np.empty((n, n), dtype=bool)
-        for v, member in enumerate(self.members):
-            own = member.utility(proposals[v])
-            for p in range(n):
-                marks[v, p] = member.utility(proposals[p]) >= own
-        return proposals[plurality_winner(marks)]
+    @staticmethod
+    def pick(utilities: np.ndarray) -> int:
+        # member v's own candidate is proposal v
+        return plurality_winner(utilities >= utilities.diagonal()[:, None])
 
 
-class BordaVotingTeam(TeamParty):
+class BordaVotingTeam(VotingTeam):
     """Unanimous acceptance; Borda count over member proposals."""
 
     strategy = "SBV"
-
-    def _accepts(self, offer: np.ndarray, t: float) -> bool:
-        return unanimity_accepts(self.accept_votes(offer, t))
-
-    def _propose(self, t: float) -> Proposal:
-        proposals = yield self.member_requests(t)
-        utilities = np.array([[m.utility(p) for p in proposals] for m in self.members])
-        return proposals[borda_winner(utilities)]
+    pick = staticmethod(borda_winner)
 
 
-class UnanimityBuildTeam(TeamParty):
+class UnanimityBuildTeam(VotingTeam):
     """Unanimous acceptance; offers built jointly along the inferred agenda.
 
     Requires all members to pull in the same direction on every issue,
@@ -313,9 +301,6 @@ class UnanimityBuildTeam(TeamParty):
                 raise ValueError("unanimity building requires identical issue directions")
         self._signs = first.signs
         self._weights = np.vstack([m.profile.weights for m in self.members])
-
-    def _accepts(self, offer: np.ndarray, t: float) -> bool:
-        return unanimity_accepts(self.accept_votes(offer, t))
 
     def _propose(self, t: float) -> Proposal:
         agenda = infer_agenda(self.opponent_offers, self._signs, self.agenda_observation_rounds)
@@ -465,18 +450,12 @@ def resolve_members(
     return members
 
 
-def make_team_party(
-    config: TeamConfig,
-    members: Sequence[TeamMember],
-    seed: int,
-) -> TeamParty:
+def make_team_party(config: TeamConfig, members: Sequence[TeamMember], seed: int) -> TeamParty:
     cls = STRATEGIES[config.strategy]
     if cls is UnanimityBuildTeam:
         return UnanimityBuildTeam(members, seed, agenda_observation_rounds=config.agenda_observation_rounds)
     if cls is RepresentativeTeam:
-        return RepresentativeTeam(
-            members, seed, behavior=config.representative_behavior, behavior_params=config.representative_params
-        )
+        return RepresentativeTeam(members, seed, config.representative_behavior, config.representative_params)
     return cls(members, seed)
 
 
@@ -506,28 +485,37 @@ def team_config_to_dict(config: TeamConfig) -> dict:
     return doc
 
 
+def _beta_range_from_dict(doc: dict, owner: str) -> tuple[float, float] | None:
+    bounds = doc.get("beta_range")
+    return tuple(check_number(bound, owner, "beta_range") for bound in bounds) if bounds else None
+
+
 def _member_spec_from_dict(doc: dict, owner: str) -> MemberSpec:
     check_keys(doc, [f.name for f in fields(MemberSpec)], owner)
     return MemberSpec(
-        beta=doc.get("beta"),
-        beta_range=tuple(doc["beta_range"]) if doc.get("beta_range") else None,
-        reservation_utility=float(doc.get("reservation_utility", 0.0)),
+        beta=None if doc.get("beta") is None else check_number(doc["beta"], owner, "beta"),
+        beta_range=_beta_range_from_dict(doc, owner),
+        reservation_utility=float(check_number(doc.get("reservation_utility", 0.0), owner, "reservation_utility")),
     )
 
 
 def team_config_from_dict(doc: dict) -> TeamConfig:
     owner = f"team {doc['name']!r}"
-    # a team document holds exactly the fields of a TeamConfig
-    check_keys(doc, [f.name for f in fields(TeamConfig)], owner)
+    strategy = str(doc["strategy"])
+    # a team document holds the fields of a TeamConfig that its strategy reads
+    only = {"agenda_observation_rounds": "FUM", "representative_behavior": "RE", "representative_params": "RE"}
+    check_keys(doc, [f.name for f in fields(TeamConfig) if only.get(f.name, strategy) == strategy], owner)
     members = None
     if "members" in doc:
         members = [_member_spec_from_dict(spec, f"{owner} member {i}") for i, spec in enumerate(doc["members"])]
     return TeamConfig(
         name=str(doc["name"]),
-        strategy=str(doc["strategy"]),
-        beta_range=tuple(doc["beta_range"]) if doc.get("beta_range") else None,
+        strategy=strategy,
+        beta_range=_beta_range_from_dict(doc, owner),
         members=members,
-        agenda_observation_rounds=int(doc.get("agenda_observation_rounds", 5)),
+        agenda_observation_rounds=check_number(
+            doc.get("agenda_observation_rounds", 5), owner, "agenda_observation_rounds", integer=True
+        ),
         representative_behavior=str(doc.get("representative_behavior", "time_tactic")),
         representative_params=dict(doc.get("representative_params", {})),
     )

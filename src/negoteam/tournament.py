@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Scenario, check_keys, load_scenario, scenario_from_dict, scenario_to_dict
+from .domain import Scenario, check_keys, check_number, load_scenario, scenario_from_dict, scenario_to_dict
 from .opponents import build_opponent
 from .protocol import Outcome, Party, SessionConfig, Transcript, run_sessions, save_transcript
 from .tactics import TimeTactic
@@ -422,7 +422,7 @@ def tournament_config_from_dict(doc: dict) -> TournamentConfig:
         scenario=scenario,
         teams=[team_config_from_dict(t) for t in doc["teams"]],
         opponents=[_opponent_config_from_dict(o) for o in doc["opponents"]],
-        repetitions=int(meta.get("repetitions", 10)),
-        max_rounds=int(meta.get("max_rounds", 1000)),
-        master_seed=int(meta.get("seed", DEFAULT_MASTER_SEED)),
+        repetitions=check_number(meta.get("repetitions", 10), "tournament", "repetitions", integer=True),
+        max_rounds=check_number(meta.get("max_rounds", 1000), "tournament", "max_rounds", integer=True),
+        master_seed=check_number(meta.get("seed", DEFAULT_MASTER_SEED), "tournament", "seed", integer=True),
     )

@@ -67,11 +67,16 @@ def play():
 
 def act_once():
     # an RE K team's representative and its opponent are both agent_k_like
-    team = TeamConfig(name="re k", strategy="RE", beta_range=(0.5, 0.99), representative_behavior="agent_k_like")
+    teams = [
+        TeamConfig(name="re k", strategy="RE", beta_range=(0.5, 0.99), representative_behavior="agent_k_like"),
+        TeamConfig(name="ssv", strategy="SSV", beta_range=(0.5, 0.99)),
+        TeamConfig(name="fum", strategy="FUM", beta_range=(0.5, 0.99)),
+    ]
     opponent = OpponentConfig(name="k", archetype="agent_k_like")
-    meta = tournament._session_meta(hotel_booking(), team, opponent, 0, 7, 20)
-    team_party, opponent_party, _ = tournament.rebuild_session(meta)
-    team_party.choose_action(0.0)
+    for team in teams:
+        meta = tournament._session_meta(hotel_booking(), team, opponent, 0, 7, 20)
+        team_party, opponent_party, _ = tournament.rebuild_session(meta)
+        team_party.choose_action(0.0)
     opponent_party.choose_action(0.0)
 
 untraced = play()
@@ -115,5 +120,11 @@ def test_perfbench_tracer_wraps_a_session_without_changing_it():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["equal"]
     assert result["sessions"] == 1 and 0 < result["rounds"] <= 20
-    # the tracer finds RE by its strategy and tells an opponent by its name
-    assert result["choose_action"] == {"team.RE.choose_action": 1, "opponents.agent_k_like.choose_action": 1}
+    # the tracer finds each team class by its strategy, whatever its base
+    # class, and tells an opponent by its name
+    assert result["choose_action"] == {
+        "team.RE.choose_action": 1,
+        "team.SSV.choose_action": 1,
+        "team.FUM.choose_action": 1,
+        "opponents.agent_k_like.choose_action": 1,
+    }

@@ -195,7 +195,7 @@ def stacked_problems(draw):
     )
     tols = draw(st.lists(st.sampled_from([1e-12, 1e-6, 1e-3]), min_size=n_agents, max_size=n_agents))
     refs = rng.random((draw(st.integers(0, 3)), n))
-    max_iter = draw(st.sampled_from([0, 1, 3, 10]))
+    max_iter = draw(st.sampled_from([0, 1, 3, 10, 30]))
     return cands, grads, offsets, targets, tols, max_iter, refs
 
 
@@ -234,7 +234,7 @@ def per_agent_reference_problems(draw):
     tols = draw(st.lists(st.sampled_from([1e-12, 1e-6, 1e-3]), min_size=n_agents, max_size=n_agents))
     counts = draw(st.lists(st.integers(0, 3), min_size=n_agents, max_size=n_agents))
     refs = [rng.random((count, n)) for count in counts]
-    max_iter = draw(st.sampled_from([0, 1, 3, 10]))
+    max_iter = draw(st.sampled_from([0, 1, 3, 10, 30]))
     return cands, grads, offsets, targets, tols, max_iter, refs
 
 

@@ -88,6 +88,28 @@ def test_plurality_against_brute_force(rng):
         assert plurality_winner(marks) == brute_plurality(marks.tolist())
 
 
+@given(
+    utilities=st.integers(1, 6).flatmap(
+        # a few distinct values, so that a member often ties its own candidate
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_similarity_pick_marks_what_each_member_finds_as_good_as_its_own(utilities):
+    # member v's own candidate is proposal v; it marks every proposal worth
+    # at least as much to it
+    n = len(utilities)
+    marks = np.empty((n, n), dtype=bool)
+    for v in range(n):
+        for p in range(n):
+            marks[v, p] = utilities[v][p] >= utilities[v][v]
+    assert SimilarityVotingTeam.pick(np.array(utilities)) == plurality_winner(marks)
+
+
 def test_borda_against_brute_force(rng):
     for _ in range(300):
         voters = int(rng.integers(1, 6))

@@ -561,3 +561,58 @@ def test_load_rejects_a_key_no_block_reads(path, key, value, message):
     block[key] = value
     with pytest.raises(ValueError, match=message):
         tournament_config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, key, value, message",
+    [
+        (("tournament",), "max_rounds", 99.9, "tournament: max_rounds must be an integer, got 99.9"),
+        (("teams", 0), "agenda_observation_rounds", 2.5, "team 'FUM B': agenda_observation_rounds must be an integer"),
+        (("tournament",), "repetitions", True, "tournament: repetitions must be an integer, got True"),
+        (("tournament",), "seed", "7", "tournament: seed must be an integer, got '7'"),
+        (
+            ("opponents", 0, "params"),
+            "threshold",
+            True,
+            "opponent 'Crazy': archetype 'crazy_haggler': parameter 'threshold' must be a number, got True",
+        ),
+        (("teams", 3, "members", 0), "beta", True, "team 'SSV B' member 0: beta must be a number, got True"),
+    ],
+    ids=[
+        "fractional-max-rounds",
+        "fractional-agenda-rounds",
+        "bool-repetitions",
+        "string-seed",
+        "bool-param",
+        "bool-beta",
+    ],
+)
+def test_load_rejects_a_number_of_the_wrong_kind(path, key, value, message):
+    # JSON's true and "7" are not numbers, and 99.9 is not an integer: each
+    # would otherwise load as 1, 7 or 99, or be written as given into transcripts
+    doc = desk_doc()
+    doc["teams"][3]["members"] = [{"beta": 0.5} for _ in range(3)]
+    block = doc
+    for step in path:
+        block = block[step]
+    block[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tournament_config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [
+        (3, "agenda_observation_rounds", 9),
+        (0, "representative_behavior", "agent_k_like"),
+        (2, "agenda_observation_rounds", 3),
+    ],
+    ids=["ssv-agenda-rounds", "fum-representative-behavior", "re-agenda-rounds"],
+)
+def test_load_rejects_a_team_key_its_strategy_never_reads(index, key, value):
+    # only FUM infers an agenda, and only RE has a representative
+    doc = desk_doc()
+    doc["teams"][index][key] = value
+    name = doc["teams"][index]["name"]
+    with pytest.raises(ValueError, match=f"team '{name}': unknown key '{key}'"):
+        tournament_config_from_dict(doc)
