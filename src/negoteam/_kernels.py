@@ -1,15 +1,37 @@
 """The numeric hot path: iso-utility projection and candidate selection.
 
-One kernel call serves J agents at once. Their candidate clouds are stacked
-row-wise, m rows per agent, and every agent brings its own gradient, offset,
-target and tolerance. Per agent the arithmetic is exactly that of projecting
-its own cloud alone: the same fixed steps, the same BLAS matrix-vector
-products on its own rows and the same selection. So a stacked call returns
-bit-identical results to J single-agent calls.
+One kernel call serves J agents at once, each with its own m candidates,
+gradient, offset, target, tolerance and reference offers. The candidates
+are laid out issue-major, as n blocks of J·m contiguous values, and every
+per-agent constant is repeated once per candidate, so each step is a few
+element-wise numpy calls over the whole stack. Every sum over issues, of
+the utilities and of the squared distances to the references alike, goes
+through :func:`_sum_issues` in one fixed order: the even issues left to
+right, the odd issues left to right, then the two. So a candidate's
+arithmetic is the same on every CPU and whatever the other agents are, and
+a stacked call returns bit-identical results to J single-agent calls. The
+one BLAS call left is ``grad @ grad``, once per agent: like the utilities'
+dot product in :mod:`negoteam.domain`, it rounds as the BLAS kernel that
+the CPU selects does, fused (FMA) on some CPUs and not on others.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def _sum_issues(terms, out):
+    """Sum ``terms`` (n, ...) over its first axis into ``out`` in the fixed order.
+
+    ``terms`` is folded in place: row 0 gathers the even issues and row 1
+    the odd ones, each left to right.
+    """
+    for k in range(2, len(terms), 2):
+        pair = terms[k : k + 2]
+        terms[: len(pair)] += pair
+    if len(terms) > 1:
+        return np.add(terms[0], terms[1], out=out)
+    np.copyto(out, terms[0])
+    return out
 
 
 def project_iso(cands, grads, offsets, targets, tols, max_iter):
@@ -17,53 +39,40 @@ def project_iso(cands, grads, offsets, targets, tols, max_iter):
 
     ``cands`` is (J·m, n), agent j owning rows j·m .. (j+1)·m - 1; ``grads`` is
     (J, n); ``offsets``, ``targets`` and ``tols`` are length J. Agent j's
-    utility is offsets[j] + grads[j] . x. Every candidate is stepped along its
-    agent's gradient onto the plane utility == target, clipped to [0, 1]^n,
-    and re-projected, for exactly ``max_iter`` steps. A candidate within its
-    agent's tolerance of the target gets a zero step.
+    utility is offsets[j] + grads[j] . x, summed over issues in the fixed
+    order. Every candidate is stepped along its agent's gradient onto the
+    plane utility == target, clipped to [0, 1]^n, and re-projected, for
+    exactly ``max_iter`` steps. A candidate within its agent's tolerance of
+    the target gets a zero step.
 
     Returns (points (J, m, n), utilities (J, m), valid (J, m)), where ``valid``
-    flags candidates within the tolerance of their agent's target.
+    flags candidates within the tolerance of their agent's target; ``points``
+    is a view of the issue-major (n, J, m) array.
     """
     n_agents, n_issues = grads.shape
-    out = cands.reshape(n_agents, -1, n_issues).copy()
-    # the same memory as one row per agent, and each agent's gradient repeated
-    # once per candidate, so the step needs no broadcast over the short issue axis
-    flat = out.reshape(n_agents, -1)
-    grad_rows = np.repeat(grads[:, None, :], out.shape[1], axis=1).reshape(n_agents, -1)
+    n_cands = cands.shape[0] // n_agents
+    x = cands.T.reshape(n_issues, n_agents, n_cands).copy()
+    g = np.repeat(grads.T, n_cands, axis=1).reshape(x.shape)
     # (1, n) @ (n, 1) per agent: the same BLAS dot as ``grad @ grad``
-    gg = (grads[:, None, :] @ grads[:, :, None])[:, 0]
-    offsets = np.asarray(offsets, dtype=np.float64)[:, None]
-    targets = np.asarray(targets, dtype=np.float64)[:, None]
-    tols = np.asarray(tols, dtype=np.float64)[:, None]
-    # an (n, 1) column per agent makes matmul take BLAS's matrix-vector path
-    # on each agent's rows, the same call as ``block @ grad``
-    columns = grads[:, :, None]
-    products = np.empty((n_agents, out.shape[1], 1))
-    products_2d = products[:, :, 0]
+    gg = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
+    per_agent = np.array([offsets, targets, tols, gg], dtype=np.float64)
+    offsets, targets, tols, gg = np.repeat(per_agent, n_cands, axis=1).reshape(4, n_agents, n_cands)
+    terms = np.empty_like(x)
+    utils = np.empty_like(offsets)
+    miss = np.empty_like(offsets)
+    active = np.empty(offsets.shape, dtype=bool)
     for _ in range(max_iter):
-        np.matmul(out, columns, out=products)
-        utils = offsets + products_2d
-        miss = targets - utils
-        step = np.where(np.abs(miss) > tols, miss, 0.0) / gg
-        # the same products as np.outer(step, grad), laid out as ``flat``
-        flat += np.repeat(step, n_issues, axis=1) * grad_rows
-        # np.clip's value, without its per-call overhead
-        np.maximum(flat, 0.0, out=flat)
-        np.minimum(flat, 1.0, out=flat)
-    np.matmul(out, columns, out=products)
-    utils = offsets + products_2d
+        np.add(offsets, _sum_issues(np.multiply(x, g, out=terms), utils), out=utils)
+        np.subtract(targets, utils, out=miss)
+        np.greater(np.abs(miss, out=utils), tols, out=active)
+        # an on-target candidate steps by ±0.0, and x + ±0.0 == x: no coordinate is -0.0
+        np.multiply(miss, active, out=miss)
+        np.divide(miss, gg, out=miss)
+        x += np.multiply(miss, g, out=terms)
+        x.clip(0.0, 1.0, out=x)
+    np.add(offsets, _sum_issues(np.multiply(x, g, out=terms), utils), out=utils)
     valid = np.abs(utils - targets) <= tols
-    return out, utils, valid
-
-
-def ref_distance_sums(points, refs):
-    """Sum of Euclidean distances from each point to its reference offers.
-
-    ``refs`` is (r, n), shared by every point, or (P, r, n), one block per point.
-    """
-    diff = points[:, None, :] - refs
-    return np.sqrt(np.einsum("prk,prk->pr", diff, diff)).sum(axis=1)
+    return x.transpose(1, 2, 0), utils, valid
 
 
 def choose_iso(cands, grads, offsets, targets, tols, max_iter, refs):
@@ -72,10 +81,10 @@ def choose_iso(cands, grads, offsets, targets, tols, max_iter, refs):
     Arguments as for :func:`project_iso`, plus ``refs``: one entry per agent,
     that agent's reference offers as r_j rows of n (r_j may be 0 and differ
     between agents). With references an agent's winner is its valid
-    candidate with the smallest summed distance to them; without, its valid
-    candidate with the highest utility. Ties go to the lowest index. Agents
-    with the same number of references are scored together, each against
-    its own rows.
+    candidate with the smallest sum of Euclidean distances to them, each
+    distance's squares summed in the fixed order and the distances added in
+    reference order; without, its valid candidate with the highest utility.
+    Ties go to the lowest index.
 
     Returns (points (J, n), utilities (J,), found (J,)); an agent none of
     whose candidates lands within its tolerance gets found False, a zero
@@ -83,25 +92,13 @@ def choose_iso(cands, grads, offsets, targets, tols, max_iter, refs):
     """
     points, utils, valid = project_iso(cands, grads, offsets, targets, tols, max_iter)
     keys = np.where(valid, -utils, np.inf)
-    by_count: dict[int, list[int]] = {}
+    x = points.transpose(2, 0, 1)
     for j, agent_refs in enumerate(refs):
         if len(agent_refs):
-            by_count.setdefault(len(agent_refs), []).append(j)
-    n_cands = utils.shape[1]
-    flat_points = points.reshape(-1, points.shape[2])
-    for agents in by_count.values():
-        # distances of the valid candidates only, as most of the cost is here;
-        # idx counts within the group's rows, rows within the whole stack
-        group_valid = valid if len(agents) == len(refs) else valid[agents]
-        idx = np.flatnonzero(group_valid)
-        rows = idx if group_valid is valid else np.array(agents)[idx // n_cands] * n_cands + idx % n_cands
-        # each agent's block once per valid candidate, in the order of rows
-        blocks = np.repeat(
-            np.array([refs[j] for j in agents], dtype=np.float64),
-            np.count_nonzero(group_valid, axis=1),
-            axis=0,
-        )
-        keys.reshape(-1)[rows] = ref_distance_sums(flat_points.take(rows, axis=0), blocks)
+            # (n, r_j, m): the agent's slice against each of its references
+            diff = x[:, None, j] - np.asarray(agent_refs, dtype=np.float64).T[:, :, None]
+            distances = np.sqrt(_sum_issues(np.multiply(diff, diff, out=diff), diff[0]))
+            np.copyto(keys[j], distances.sum(axis=0), where=valid[j])
     # argmin takes the first of equal keys: the lowest index
     best = keys.argmin(axis=1)
     agents = np.arange(grads.shape[0])

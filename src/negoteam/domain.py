@@ -173,9 +173,16 @@ def check_keys(doc: dict, known: Iterable[str], block: str) -> None:
 
 def check_number(value: object, block: str, key: str, integer: bool = False):
     """Return ``value`` when it is an int (or, unless ``integer``, a float) and not a bool;
-    else raise ValueError naming ``block`` and ``key``, so ``true`` or ``"7"`` fails at load."""
+    else raise ValueError naming ``block`` and ``key``, so ``true`` or ``"7"`` fails at load.
+    Unless ``integer``, an int must also convert to a float: JSON reads ``1e400`` as
+    inf but a 1 followed by 400 zeros as an int that ``float()`` cannot hold."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ValueError(f"{block}: {key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not integer and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{block}: {key} must be a number, got an integer too large for a float") from None
     return value
 
 

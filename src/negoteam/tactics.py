@@ -110,8 +110,12 @@ def sample_iso_offers(requests: Sequence[SampleRequest]) -> list[np.ndarray]:
         raise ValueError("requests served together must share their issue count")
     # one row per drawing agent: offset, target
     scalars = np.array([(req.profile.offset, req.target) for req in stacked])
+    # each cloud drawn in place: the same values as rng.random((CANDIDATE_COUNT, n))
+    cands = np.empty((len(stacked), CANDIDATE_COUNT, stacked[0].profile.n_issues))
+    for cloud, req in zip(cands, stacked):
+        req.rng.random(out=cloud)
     points, _, found = _kernels.choose_iso(
-        np.concatenate([req.rng.random((CANDIDATE_COUNT, req.profile.n_issues)) for req in stacked]),
+        cands.reshape(-1, cands.shape[2]),
         np.array([req.profile.gradient for req in stacked]),
         scalars[:, 0],
         scalars[:, 1],

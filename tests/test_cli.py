@@ -99,6 +99,9 @@ def _without(key):
             **MINI_CONFIG,
             "opponents": [{"name": "tt", "archetype": "time_tactic", "params": {"beta": float("nan")}}],
         },
+        # json reads a 1 followed by 400 zeros as an int that float() cannot hold
+        {**MINI_CONFIG, "opponents": [{"name": "c", "archetype": "crazy_haggler", "params": {"threshold": 10**400}}]},
+        {**MINI_CONFIG, "teams": [{"name": "ssv", "strategy": "SSV", "beta_range": [0.5, 10**400]}]},
     ],
     ids=[
         "missing",
@@ -110,6 +113,8 @@ def _without(key):
         "member-without-beta",
         "member-reservation-utility-above-one",
         "non-finite-archetype-parameter",
+        "huge-int-archetype-parameter",
+        "huge-int-beta-range",
     ],
 )
 def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):

@@ -2,6 +2,11 @@
 single-agent projection and selection bit for bit."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,30 +42,52 @@ def project(cands, grad, offset, target, tol, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the single-agent projection and selection, one call per agent
+# oracles: the single-agent projection and selection, one call per agent, in
+# plain Python floats; every sum over issues is taken in the kernel's fixed
+# order, so the oracles and the kernel agree bit for bit
 # ---------------------------------------------------------------------------
 
+def bits(a):
+    """The float64 values of ``a`` as integers, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def fixed_sum(terms):
+    """The even terms left to right, the odd terms left to right, then the two."""
+    even = terms[0]
+    for t in terms[2::2]:
+        even += t
+    if len(terms) == 1:
+        return even
+    odd = terms[1]
+    for t in terms[3::2]:
+        odd += t
+    return even + odd
+
+
+def row_utility(x, grad, offset):
+    return offset + fixed_sum([a * b for a, b in zip(x, grad)])
+
+
 def oracle_project(cands, grad, offset, target, tol, max_iter):
-    out = cands.copy()
-    gg = float(grad @ grad)
-    utils_prev = None
-    for _ in range(max_iter):
-        utils = offset + out @ grad
-        miss = target - utils
-        active = np.abs(miss) > tol
-        if not active.any() or (utils_prev is not None and np.array_equal(utils, utils_prev)):
-            break
-        utils_prev = utils
-        out += np.outer(np.where(active, miss, 0.0) / gg, grad)
-        np.clip(out, 0.0, 1.0, out=out)
-    utils = offset + out @ grad
-    valid = np.abs(utils - target) <= tol
-    return out, utils, valid
+    g = grad.tolist()
+    gg = float(grad @ grad)  # the kernel's one BLAS product
+    offset, target, tol = float(offset), float(target), float(tol)
+    points, utils = [], []
+    for x in cands.tolist():
+        for _ in range(max_iter):
+            miss = target - row_utility(x, g, offset)
+            step = miss / gg if abs(miss) > tol else 0.0
+            x = [min(max(a + step * b, 0.0), 1.0) for a, b in zip(x, g)]
+        points.append(x)
+        utils.append(row_utility(x, g, offset))
+    utils = np.array(utils)
+    return np.array(points).reshape(cands.shape), utils, np.abs(utils - target) <= tol
 
 
-def oracle_distance_sums(points, refs):
-    diff = points[:, None, :] - refs[None, :, :]
-    return np.sqrt(np.einsum("prk,prk->pr", diff, diff)).sum(axis=1)
+def oracle_distance_sum(point, refs):
+    """Each distance's squares in the fixed order, the distances in reference order."""
+    return sum(math.sqrt(fixed_sum([(p - r) * (p - r) for p, r in zip(point, ref)])) for ref in refs.tolist())
 
 
 def oracle_choose(cands, grad, offset, target, tol, max_iter, refs):
@@ -71,22 +98,23 @@ def oracle_choose(cands, grad, offset, target, tol, max_iter, refs):
     if refs.shape[0] == 0:
         best = idx[np.argmax(utils[idx])]
     else:
-        best = idx[np.argmin(oracle_distance_sums(points[idx], refs))]
+        best = min(idx, key=lambda i: oracle_distance_sum(points[i].tolist(), refs))
     return points[best].copy(), float(utils[best]), True
 
 
 def naive_project(cands, grad, offset, target, tol, max_iter):
-    """Reference projection: per-candidate loop, no early-exit tricks."""
+    """Reference projection: per-candidate loop, each candidate stopping on target."""
     out = cands.copy()
     gg = float(grad @ grad)
+    g = grad.tolist()
     for i in range(out.shape[0]):
         for _ in range(max_iter):
-            u = offset + float(grad @ out[i])
+            u = row_utility(out[i].tolist(), g, offset)
             if abs(target - u) <= tol:
                 break
             out[i] += (target - u) / gg * grad
             np.clip(out[i], 0.0, 1.0, out=out[i])
-    utils = offset + out @ grad
+    utils = np.array([row_utility(x, g, offset) for x in out.tolist()])
     return out, utils, np.abs(utils - target) <= tol
 
 
@@ -122,24 +150,30 @@ def test_projection_matches_naive_reference(rng):
         pts, utils, valid = project(cands, grad, offset, target, 1e-6, 10)
         ref_pts, ref_utils, ref_valid = naive_project(cands, grad, offset, target, 1e-6, 10)
         assert np.array_equal(valid, ref_valid)
-        assert np.allclose(pts, ref_pts, atol=1e-9)
-        assert np.allclose(utils, ref_utils, atol=1e-9)
+        assert np.array_equal(bits(pts), bits(ref_pts))
+        assert np.array_equal(bits(utils), bits(ref_utils))
 
 
 def test_projection_deterministic_within_lane(rng):
     cands, grads, offsets = random_stack(rng, 2, 64, 5)
     a = _kernels.project_iso(cands, grads, offsets, [0.7, 0.4], [1e-6] * 2, 10)
     b = _kernels.project_iso(cands, grads, offsets, [0.7, 0.4], [1e-6] * 2, 10)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    for x, y in zip(a[:2], b[:2]):
+        assert np.array_equal(bits(x), bits(y))
+    assert np.array_equal(a[2], b[2])
 
 
-def test_ref_distance_sums_brute_force(rng):
-    points = rng.random((12, 4))
+def test_choose_iso_picks_the_candidate_nearest_its_references(rng):
+    # math.dist rounds on its own, so the pick's summed distance need only
+    # match the brute-force minimum over the valid candidates to round-off
+    cands, grads, offsets = random_stack(rng, 1, 300, 4)
     refs = rng.random((3, 4))
-    got = _kernels.ref_distance_sums(points, refs)
-    want = [sum(math.dist(p, r) for r in refs) for p in points]
-    assert np.allclose(got, want, atol=1e-12)
+    point, _, found = _kernels.choose_iso(cands, grads, offsets, [0.55], [1e-6], 10, [refs])
+    pts, _, valid = _kernels.project_iso(cands, grads, offsets, [0.55], [1e-6], 10)
+    assert found[0] and valid[0].any()
+    assert any(np.array_equal(point[0], p) for p in pts[0][valid[0]])
+    best = min(sum(math.dist(p, r) for r in refs) for p in pts[0][valid[0]])
+    assert sum(math.dist(point[0], r) for r in refs) == pytest.approx(best, abs=1e-12)
 
 
 def test_choose_iso_composes_projection_and_selection(rng):
@@ -154,11 +188,11 @@ def test_choose_iso_composes_projection_and_selection(rng):
             idx = np.flatnonzero(valid[j])
             assert found[j] and idx.size > 0
             if use_refs:
-                best = idx[np.argmin(_kernels.ref_distance_sums(pts[j][idx], refs))]
+                best = min(idx, key=lambda i: oracle_distance_sum(pts[j][i].tolist(), refs))
             else:
                 best = idx[np.argmax(utils[j][idx])]
-            assert np.allclose(point[j], pts[j][best], atol=1e-9)
-            assert u[j] == pytest.approx(float(utils[j][best]), abs=1e-9)
+            assert np.array_equal(bits(point[j]), bits(pts[j][best]))
+            assert np.array_equal(bits(u[j]), bits(utils[j][best]))
 
 
 def test_choose_iso_reports_missing_target(rng):
@@ -210,14 +244,14 @@ def test_stacked_kernel_is_bit_identical_to_one_call_per_agent(problem):
     for j in range(grads.shape[0]):
         block = cands[j * m : (j + 1) * m]
         o_pts, o_utils, o_valid = oracle_project(block, grads[j], offsets[j], targets[j], tols[j], max_iter)
-        assert np.array_equal(pts[j], o_pts)
-        assert np.array_equal(utils[j], o_utils)
+        assert np.array_equal(bits(pts[j]), bits(o_pts))
+        assert np.array_equal(bits(utils[j]), bits(o_utils))
         assert np.array_equal(valid[j], o_valid)
         o_point, o_u, o_found = oracle_choose(
             block, grads[j], offsets[j], targets[j], tols[j], max_iter, refs
         )
-        assert np.array_equal(point[j], o_point)
-        assert u[j] == o_u
+        assert np.array_equal(bits(point[j]), bits(o_point))
+        assert np.array_equal(bits(u[j]), bits(o_u))
         assert found[j] == o_found
 
 
@@ -251,6 +285,79 @@ def test_per_agent_references_are_bit_identical_to_one_call_per_agent(problem):
         o_point, o_u, o_found = oracle_choose(
             block, grads[j], offsets[j], targets[j], tols[j], max_iter, refs[j]
         )
-        assert np.array_equal(point[j], o_point)
-        assert u[j] == o_u
+        assert np.array_equal(bits(point[j]), bits(o_point))
+        assert np.array_equal(bits(u[j]), bits(o_u))
         assert found[j] == o_found
+
+
+@given(problem=per_agent_reference_problems(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_permutation_or_sub_stack_of_agents_returns_the_same_rows(problem, data):
+    # an agent's rows depend on its own inputs alone, not on its place in
+    # the stack or on which other agents share the call
+    cands, grads, offsets, targets, tols, max_iter, refs = problem
+    n_agents = grads.shape[0]
+    m = cands.shape[0] // n_agents
+    order = data.draw(st.permutations(range(n_agents)))
+    order = order[: data.draw(st.integers(1, n_agents))]
+    full = _kernels.choose_iso(cands, grads, offsets, targets, tols, max_iter, refs)
+    sub = _kernels.choose_iso(
+        np.vstack([cands[j * m : (j + 1) * m] for j in order]),
+        grads[order],
+        [offsets[j] for j in order],
+        [targets[j] for j in order],
+        [tols[j] for j in order],
+        max_iter,
+        [refs[j] for j in order],
+    )
+    for whole, part in zip(full, sub):
+        if whole.dtype == np.float64:
+            whole, part = bits(whole), bits(part)
+        assert np.array_equal(whole[order], part)
+
+
+# ---------------------------------------------------------------------------
+# the same sessions whatever kernel class numpy's bundled OpenBLAS picks
+# ---------------------------------------------------------------------------
+
+PLAY_CELLS = """
+import sys
+from negoteam import tournament
+from negoteam.report import sessions_to_csv
+config = tournament.desk_config(repetitions=1, max_rounds=200)
+config.teams = [t for t in config.teams if t.name in ("FUM B", "SSV B", "RE K")]
+config.opponents = [o for o in config.opponents if o.name == "Crazy"]
+sys.stdout.write(sessions_to_csv(tournament.run_tournament(config)))
+"""
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            return next((set(line.split(":", 1)[1].split()) for line in info if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or not {"avx2", "fma"} <= _cpu_flags(),
+    reason="forcing OpenBLAS's Haswell kernels needs an x86_64 CPU with AVX2 and FMA",
+)
+def test_sessions_are_byte_identical_under_the_haswell_and_sandybridge_blas_kernels():
+    # OPENBLAS_CORETYPE picks the kernel class for its process alone: Haswell
+    # (AVX2, FMA) or Sandybridge (neither). These three cells against Crazy
+    # changed course between the two when the projection summed in BLAS.
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    outputs = []
+    for coretype in ("Haswell", "Sandybridge"):
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": coretype,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", PLAY_CELLS], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 1 + 3
+    assert outputs[0] == outputs[1]

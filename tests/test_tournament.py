@@ -577,6 +577,14 @@ def test_load_rejects_a_key_no_block_reads(path, key, value, message):
             "opponent 'Crazy': archetype 'crazy_haggler': parameter 'threshold' must be a number, got True",
         ),
         (("teams", 3, "members", 0), "beta", True, "team 'SSV B' member 0: beta must be a number, got True"),
+        (
+            ("opponents", 0, "params"),
+            "threshold",
+            10**400,
+            "opponent 'Crazy': archetype 'crazy_haggler': parameter 'threshold' must be a number, "
+            "got an integer too large for a float",
+        ),
+        (("teams", 0), "beta_range", [0.1, 10**400], "team 'FUM B': beta_range must be a number, got an integer too"),
     ],
     ids=[
         "fractional-max-rounds",
@@ -585,6 +593,8 @@ def test_load_rejects_a_key_no_block_reads(path, key, value, message):
         "string-seed",
         "bool-param",
         "bool-beta",
+        "huge-int-param",
+        "huge-int-beta-range",
     ],
 )
 def test_load_rejects_a_number_of_the_wrong_kind(path, key, value, message):
