@@ -28,7 +28,7 @@ class Direction(str, Enum):
 class PreferenceProfile:
     """Additive utility over the domain issues.
 
-    weights must be non-negative and sum to one (tolerance WEIGHT_SUM_TOL),
+    weights must be finite, non-negative and sum to one (tolerance WEIGHT_SUM_TOL),
     one weight and one direction per issue.
     """
 
@@ -48,8 +48,8 @@ class PreferenceProfile:
             raise ValueError("weights must be a non-empty 1-D vector")
         if len(self.directions) != self.weights.size:
             raise ValueError("one direction required per weight")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0.0)):
+            raise ValueError(f"weights of {self.name!r} must be finite and non-negative")
         if abs(float(self.weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights of {self.name!r} must sum to 1")
         self.signs = np.array(
@@ -79,8 +79,7 @@ def as_offer(values: Iterable[float], n_issues: int | None = None) -> np.ndarray
 
 def utility(profile: PreferenceProfile, offer: np.ndarray) -> float:
     """Weighted additive utility of a complete offer, always in [0, 1]."""
-    offer = as_offer(offer, profile.n_issues)
-    return float(profile.offset + profile.gradient @ offer)
+    return utility_unchecked(profile, as_offer(offer, profile.n_issues))
 
 
 def utility_unchecked(profile: PreferenceProfile, offer: np.ndarray) -> float:
@@ -108,9 +107,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         n = len(self.issues)
+        names: set[str] = set()
         for p in (*self.team_profiles, self.opponent_profile):
             if p.n_issues != n:
                 raise ValueError(f"profile {p.name!r} does not cover all {n} issues")
+            if p.name in names:
+                raise ValueError(f"profile name {p.name!r} appears more than once in the scenario")
+            names.add(p.name)
         if not self.team_profiles:
             raise ValueError("a scenario needs at least one team profile")
 
@@ -164,8 +167,11 @@ def check_keys(doc: dict, known: Iterable[str], block: str) -> None:
     """Reject a config block holding a key its loader would not read.
 
     Raises ValueError naming ``block`` and the first unknown key, so that a
-    misspelt key fails at load instead of being ignored.
+    misspelt key fails at load instead of being ignored. A ``doc`` that is
+    not a dict (a JSON object) fails too.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{block}: must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ValueError(f"{block}: unknown key {unknown[0]!r}; known: {', '.join(known)}")

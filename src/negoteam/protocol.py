@@ -9,8 +9,8 @@ end action terminates it in failure, scoring zero for everyone.
 
 Sessions are played by one loop, :func:`run_sessions`, which moves any
 number of independent sessions forward in lockstep, one action each per
-step, and serves the offers their parties ask for with one sampler call per
-step. :func:`run_session` is its one-session case.
+step; one driver, :func:`_settle`, runs the decisions there and in
+:meth:`Party.choose_action`. :func:`run_session` is the one-session case.
 """
 from __future__ import annotations
 
@@ -89,15 +89,8 @@ class Party(ABC):
         """
 
     def choose_action(self, t: float) -> Action:
-        """Act at normalised time t, serving each of its requests on the spot."""
-        decision = self.decide(t)
-        offers = None
-        while True:
-            try:
-                requests = decision.send(offers)
-            except StopIteration as done:
-                return done.value
-            offers = sample_iso_offers(requests)
+        """Act at normalised time t, driven as one decision of a lockstep step."""
+        return _settle([self.decide(t)])[0]
 
 
 @dataclass(frozen=True)
@@ -257,8 +250,7 @@ class Transcript:
 def score(offer: np.ndarray | None, profiles: Mapping[str, PreferenceProfile]) -> tuple[dict[str, float], float]:
     """Per-agent utilities and their product; a failed session scores all zeros."""
     if offer is None:
-        utilities = {name: 0.0 for name in profiles}
-        return utilities, 0.0
+        return {name: 0.0 for name in profiles}, 0.0
     utilities = {name: utility(profile, offer) for name, profile in profiles.items()}
     joint = 1.0
     for u in utilities.values():
@@ -279,15 +271,12 @@ def _all_profiles(team: Party, opponent: Party) -> dict[str, PreferenceProfile]:
 class _LiveSession:
     """One session's state between the steps of :func:`run_sessions`."""
 
-    __slots__ = ("max_rounds", "profiles", "transcript", "outcome", "turns", "turn", "round", "standing")
+    __slots__ = ("max_rounds", "profiles", "transcript", "turns", "turn", "round", "standing")
 
-    def __init__(
-        self, team_party: Party, opponent_party: Party, config: SessionConfig, meta: dict | None
-    ) -> None:
+    def __init__(self, team_party: Party, opponent_party: Party, config: SessionConfig, meta: dict | None) -> None:
         self.max_rounds = config.max_rounds
         self.profiles = _all_profiles(team_party, opponent_party)
         self.transcript = Transcript(dict(meta or {}), capacity=2 * config.max_rounds)
-        self.outcome: Outcome | None = None
         if config.initiator == "team":
             self.turns = ((team_party, opponent_party), (opponent_party, team_party))
         else:
@@ -308,47 +297,51 @@ class _LiveSession:
         if action.kind is ActionKind.ACCEPT:
             if self.standing is None:
                 raise ProtocolViolation(f"{actor.name} accepted with no standing offer")
-            utilities, joint = score(self.standing, self.profiles)
-            self._finish(
-                Outcome(
-                    agreement=True,
-                    reason="accepted",
-                    offer=self.standing.copy(),
-                    utilities=utilities,
-                    joint_utility=joint,
-                    rounds_used=rnd + 1,
-                    accepted_by=actor.name,
-                    accepted_at=t,
-                )
-            )
-            return
-        if action.kind is ActionKind.END:
-            self._fail("ended", rnd + 1)
-            return
-        self.standing = action.offer
-        other.receive_offer(self.standing.copy(), t)
-        self.turn ^= 1
-        if self.turn == 0:
-            self.round += 1
-            if self.round == self.max_rounds:
-                self._fail("deadline", self.max_rounds)
+            self._end("accepted", rnd + 1, self.standing.copy(), actor.name, t)
+        elif action.kind is ActionKind.END:
+            self._end("ended", rnd + 1)
+        else:
+            self.standing = action.offer
+            other.receive_offer(self.standing.copy(), t)
+            self.turn ^= 1
+            if self.turn == 0:
+                self.round += 1
+                if self.round == self.max_rounds:
+                    self._end("deadline", self.max_rounds)
 
-    def _fail(self, reason: str, rounds_used: int) -> None:
-        utilities, joint = score(None, self.profiles)
-        self._finish(
-            Outcome(
-                agreement=False,
-                reason=reason,
-                offer=None,
-                utilities=utilities,
-                joint_utility=joint,
-                rounds_used=rounds_used,
-            )
+    def _end(self, reason: str, rounds_used: int, offer=None, accepted_by=None, accepted_at=None) -> None:
+        """Score ``offer`` (a failure has none and scores zero) and finish the transcript."""
+        utilities, joint = score(offer, self.profiles)
+        self.transcript.finish(
+            Outcome(offer is not None, reason, offer, utilities, joint, rounds_used, accepted_by, accepted_at)
         )
 
-    def _finish(self, outcome: Outcome) -> None:
-        self.outcome = outcome
-        self.transcript.finish(outcome)
+
+def _settle(decisions: Sequence[Decision]) -> list[Action]:
+    """Run ``decisions`` to their actions, in input order.
+
+    Each round serves every decision still asking with one sampler call, its
+    requests in decision order; each draws from its own agent's stream.
+    """
+    actions: list = [None] * len(decisions)
+    answers: list = [None] * len(decisions)
+    pending: Sequence[int] = range(len(decisions))
+    while pending:
+        asking, requests, bounds = [], [], [0]
+        for i in pending:
+            try:
+                requests.extend(decisions[i].send(answers[i]))
+            except StopIteration as done:
+                actions[i] = done.value
+            else:
+                asking.append(i)
+                bounds.append(len(requests))
+        if asking:
+            served = sample_iso_offers(requests)
+            for i, lo, hi in zip(asking, bounds, bounds[1:]):
+                answers[i] = served[lo:hi]
+        pending = asking
+    return actions
 
 
 def run_sessions(
@@ -357,35 +350,18 @@ def run_sessions(
     """Play independent sessions to termination, in lockstep.
 
     Each ``(team_party, opponent_party, config, meta)`` session alternates
-    as :func:`run_session` describes. A step moves every unfinished session
-    on by one action, and the sampler requests its acting parties make are
-    served by one :func:`~negoteam.tactics.sample_iso_offers` call. Every
-    agent draws from its own stream in its own order, so each session's
+    as :func:`run_session` describes. A step runs the decisions of every
+    unfinished session's acting party through :func:`_settle`, then records
+    each action. Sessions share no party, stream or transcript, so acting
+    once the whole step has decided changes nothing: each session's
     transcript is the one it would have alone. Results are in input order.
     """
-    played = [_LiveSession(*session) for session in sessions]
-    live = played
+    played = live = [_LiveSession(*session) for session in sessions]
     while live:
-        deciding = [(session, session.decide()) for session in live]
-        offers: list = [None] * len(deciding)
-        while deciding:
-            asking = []
-            requests: list[SampleRequest] = []
-            for (session, decision), answer in zip(deciding, offers):
-                try:
-                    asked = decision.send(answer)
-                except StopIteration as done:
-                    session.act(done.value)
-                else:
-                    asking.append((session, decision, len(requests), len(requests) + len(asked)))
-                    requests.extend(asked)
-            if not asking:
-                break
-            served = sample_iso_offers(requests)
-            deciding = [(session, decision) for session, decision, _, _ in asking]
-            offers = [served[lo:hi] for _, _, lo, hi in asking]
-        live = [session for session in live if session.outcome is None]
-    return [(session.transcript, session.outcome) for session in played]
+        for session, action in zip(live, _settle([session.decide() for session in live])):
+            session.act(action)
+        live = [session for session in live if session.transcript.outcome is None]
+    return [(session.transcript, session.transcript.outcome) for session in played]
 
 
 def run_session(
@@ -440,6 +416,9 @@ def transcript_from_dict(doc: dict) -> Transcript:
         kind = ActionKind(adoc["kind"])
         offer = np.asarray(adoc["offer"], dtype=np.float64) if "offer" in adoc else None
         transcript.append(int(adoc["round"]), float(adoc["t"]), str(adoc["party"]), Action(kind, offer))
+    for block in ("outcome", "utilities"):
+        if not isinstance(doc[block], dict):
+            raise ValueError(f"{block}: must be a JSON object, got {type(doc[block]).__name__}")
     odoc = doc["outcome"]
     transcript.finish(
         Outcome(

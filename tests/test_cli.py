@@ -7,6 +7,9 @@ import pytest
 
 from negoteam import cli
 from negoteam.cli import main
+from negoteam.domain import hotel_booking, scenario_to_dict
+
+STORED_TRANSCRIPT = Path(__file__).parent / "data" / "ssv-b__tft__001.json"
 
 MINI_CONFIG = {
     "scenario": "hotel-booking",
@@ -78,6 +81,13 @@ def _without(key):
     return {k: v for k, v in MINI_CONFIG.items() if k != key}
 
 
+def _with_profile(index, **fields):
+    """MINI_CONFIG on the built-in scenario written inline, profile ``index`` holding ``fields``."""
+    scenario = scenario_to_dict(hotel_booking())
+    scenario["profiles"][index].update(fields)
+    return {**MINI_CONFIG, "scenario": scenario}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -102,6 +112,10 @@ def _without(key):
         # json reads a 1 followed by 400 zeros as an int that float() cannot hold
         {**MINI_CONFIG, "opponents": [{"name": "c", "archetype": "crazy_haggler", "params": {"threshold": 10**400}}]},
         {**MINI_CONFIG, "teams": [{"name": "ssv", "strategy": "SSV", "beta_range": [0.5, 10**400]}]},
+        _with_profile(1, name="a1"),
+        _with_profile(0, name="op"),
+        _with_profile(0, weights=[float("nan"), 0.5, 0.25, 0.25]),
+        {**MINI_CONFIG, "tournament": []},
     ],
     ids=[
         "missing",
@@ -115,6 +129,10 @@ def _without(key):
         "non-finite-archetype-parameter",
         "huge-int-archetype-parameter",
         "huge-int-beta-range",
+        "repeated-team-profile-name",
+        "team-profile-named-as-the-opponent",
+        "nan-weight",
+        "tournament-not-an-object",
     ],
 )
 def test_run_fails_cleanly_on_a_bad_config(tmp_path, capsys, doc):
@@ -266,13 +284,19 @@ def test_replay_tells_an_outcome_that_alone_differs(mini_run, capsys):
 
 
 def test_replay_verifies_a_transcript_written_by_an_earlier_version(capsys):
-    path = Path(__file__).parent / "data" / "ssv-b__tft__001.json"
-    assert main(["replay", "--transcript", str(path)]) == 0
+    assert main(["replay", "--transcript", str(STORED_TRANSCRIPT)]) == 0
     assert capsys.readouterr().out.startswith("replay OK: 16 actions, agreement after 8 rounds")
 
 
 @pytest.mark.parametrize(
-    "text", [None, "not json {", '{"config": {}}'], ids=["missing", "not-json", "no-actions"]
+    "text",
+    [
+        None,
+        "not json {",
+        '{"config": {}}',
+        json.dumps({**json.loads(STORED_TRANSCRIPT.read_text(encoding="utf-8")), "utilities": []}),
+    ],
+    ids=["missing", "not-json", "no-actions", "utilities-not-an-object"],
 )
 def test_replay_fails_cleanly_on_an_unreadable_transcript(tmp_path, capsys, text):
     path = tmp_path / "transcript.json"

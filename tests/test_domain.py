@@ -33,6 +33,22 @@ def test_profile_weight_validation():
         _profile([0.5, 0.5], [Direction.INCREASING])
 
 
+def test_a_non_finite_weight_fails_at_load(scenario):
+    doc = scenario_to_dict(scenario)
+    # json writes and reads NaN; NaN < 0 and |NaN - 1| > tol are both false
+    doc["profiles"][1]["weights"] = [float("nan"), 0.5, 0.25, 0.25]
+    with pytest.raises(ValueError, match="weights of 'a2' must be finite"):
+        scenario_from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("index, name", [(1, "a1"), (0, "op")], ids=["team-twice", "team-and-opponent"])
+def test_a_scenario_rejects_a_repeated_profile_name(scenario, index, name):
+    doc = scenario_to_dict(scenario)
+    doc["profiles"][index]["name"] = name
+    with pytest.raises(ValueError, match=f"profile name '{name}' appears more than once"):
+        scenario_from_dict(doc)
+
+
 def test_utility_is_affine_form():
     p = _profile([0.6, 0.4], [Direction.INCREASING, Direction.DECREASING])
     # u(x) = 0.6 x0 + 0.4 (1 - x1) = 0.4 + 0.6 x0 - 0.4 x1

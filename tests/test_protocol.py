@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from negoteam.domain import utility
+from negoteam.domain import ideal_offer, utility
 from negoteam.protocol import (
     Action,
     ActionKind,
@@ -27,6 +27,7 @@ from negoteam.protocol import (
     transcript_to_dict,
     transcripts_equal,
 )
+from negoteam.tactics import SampleRequest
 
 
 class Scripted(Party):
@@ -386,3 +387,58 @@ def test_lockstep_sessions_match_each_session_alone(scenario):
         assert transcripts_equal(transcript, together[i][0])
         assert transcript.config == together[i][0].config == {"i": i}
         assert outcome.utilities == together[i][1].utilities
+
+
+class Asking(Party):
+    """Asks the sampler ``asks[k % len(asks)]`` times in its k-th decision, the
+    i-th time for i + 1 offers, and proposes the last offer it got; it never
+    looks at what it is shown, so its k-th decision is the same alone."""
+
+    def __init__(self, name, profile, seed, asks):
+        self.name = name
+        self._profile = profile
+        self._rng = np.random.default_rng(seed)
+        self._asks = asks
+        self.decisions = 0
+
+    @property
+    def utility_profiles(self):
+        return {f"{self.name}_agent": self._profile}
+
+    def receive_offer(self, offer, t):
+        pass
+
+    def decide(self, t):
+        asks = self._asks[self.decisions % len(self._asks)]
+        self.decisions += 1
+        offers = [ideal_offer(self._profile)]
+        for i in range(asks):
+            offers = yield [SampleRequest(self._profile, 0.5 + 0.4 * t, [], self._rng)] * (i + 1)
+        return Action.propose(offers[-1])
+
+
+def test_lockstep_decisions_asking_several_times_match_each_decision_alone(scenario):
+    # in every step the deciding parties ask 0, 1 or 2 times, so some requests
+    # are served in the driver's second round while others have their actions
+    team_profile, opponent_profile = scenario.team_profiles[0], scenario.opponent_profile
+    plans = [((0, 1, 2), (2, 0)), ((2, 2, 1), (1,)), ((1, 0), (0, 2, 1))]
+
+    def pairs():
+        return [
+            (Asking("team", team_profile, 10 + i, team), Asking("opponent", opponent_profile, 20 + i, opponent))
+            for i, (team, opponent) in enumerate(plans)
+        ]
+
+    configs = [SessionConfig(3), SessionConfig(5, initiator="opponent"), SessionConfig(4)]
+    together = run_sessions([(team, opp, cfg, None) for (team, opp), cfg in zip(pairs(), configs)])
+    for i, ((team, opp), cfg) in enumerate(zip(pairs(), configs)):
+        transcript, outcome = run_session(team, opp, cfg)
+        assert transcripts_equal(transcript, together[i][0])
+        assert outcome == together[i][1] and outcome.reason == "deadline"
+        # the same parties, driven one decision at a time, act as they did in the session
+        for party in pairs()[i]:
+            for entry in transcript.entries:
+                if entry.party == party.name:
+                    action = party.choose_action(entry.t)
+                    assert action.kind is ActionKind.PROPOSE
+                    assert action.offer.tobytes() == entry.action.offer.tobytes()
